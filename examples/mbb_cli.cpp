@@ -45,10 +45,9 @@ void Usage() {
       "                              hardware threads\n"
       "  --spawn-depth N             fork cutoff of the work-stealing\n"
       "                              subtree layer (default 0 = auto)\n"
-      "  --dispatch LEVEL            SIMD kernel backend: auto (default,\n"
-      "                              widest the build + CPU allow), avx512,\n"
-      "                              avx2 or scalar; rejects levels this\n"
-      "                              machine cannot run\n"
+      "  --dispatch auto|scalar      bitset kernel backend: auto (default;\n"
+      "                              AVX2 when the build + CPU allow it)\n"
+      "                              or scalar\n"
       "  --deterministic             thread-count-invariant parallel mode:\n"
       "                              identical result at any --threads\n"
       "  --sparse-reduction on|off   run the hbv-family reduction phases\n"
@@ -220,44 +219,11 @@ int main(int argc, char** argv) {
       if (!missing_value) {
         if (value == "auto") {
           bitops::SetDispatchPolicy(bitops::DispatchPolicy::kAuto);
-        } else if (value == "avx512") {
-          if (!bitops::Avx512Available()) {
-            std::cerr << "--dispatch=avx512: the AVX-512 backend is "
-                      << (bitops::Avx512CompiledIn()
-                              ? "not supported by this CPU"
-                              : "not compiled into this build")
-                      << "; use --dispatch=auto for the widest available "
-                         "level\n";
-            return 1;
-          }
-          // There is no force-avx512 policy: auto already resolves to the
-          // widest AVX-512 variant unless an environment override caps it,
-          // which would silently contradict the flag — reject that.
-          bitops::SetDispatchPolicy(bitops::DispatchPolicy::kAuto);
-          if (std::string(bitops::ActiveDispatchName()).rfind("avx512", 0) !=
-              0) {
-            std::cerr << "--dispatch=avx512: auto dispatch resolved to '"
-                      << bitops::ActiveDispatchName()
-                      << "' because an MBB_FORCE_SCALAR / MBB_FORCE_AVX2 "
-                         "environment override is set; unset it to use the "
-                         "AVX-512 backend\n";
-            return 1;
-          }
-        } else if (value == "avx2") {
-          if (!bitops::SimdAvailable()) {
-            std::cerr << "--dispatch=avx2: the AVX2 backend is "
-                      << (bitops::SimdCompiledIn()
-                              ? "not supported by this CPU"
-                              : "not compiled into this build")
-                      << "; use --dispatch=scalar or --dispatch=auto\n";
-            return 1;
-          }
-          bitops::SetDispatchPolicy(bitops::DispatchPolicy::kForceAvx2);
         } else if (value == "scalar") {
           bitops::SetDispatchPolicy(bitops::DispatchPolicy::kForceScalar);
         } else {
-          std::cerr << "--dispatch expects auto, avx512, avx2 or scalar, "
-                       "got '" << value << "'\n";
+          std::cerr << "--dispatch expects auto or scalar, got '" << value
+                    << "'\n";
           return 1;
         }
       }

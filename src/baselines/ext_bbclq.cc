@@ -122,11 +122,7 @@ class ExtBbclqSearcher {
   }
 
   bool LimitFired() {
-    if (limits_.ShouldStop(stats_.recursions)) {
-      stats_.timed_out = true;
-      return true;
-    }
-    return false;
+    return stats_.RecordStop(limits_.CheckStop(stats_.recursions));
   }
 
   const BipartiteGraph& g_;

@@ -135,11 +135,7 @@ class ImbeaSearcher {
   }
 
   bool LimitFired() {
-    if (limits_.ShouldStop(stats_.recursions)) {
-      stats_.timed_out = true;
-      return true;
-    }
-    return false;
+    return stats_.RecordStop(limits_.CheckStop(stats_.recursions));
   }
 
   const BipartiteGraph& g_;

@@ -108,13 +108,7 @@ class BasicBbSearcher {
   }
 
   bool LimitFired() {
-    const StopCause cause = limits_.CheckStop(stats_.recursions);
-    if (cause != StopCause::kNone) {
-      stats_.timed_out = true;
-      if (stats_.stop_cause == StopCause::kNone) stats_.stop_cause = cause;
-      return true;
-    }
-    return false;
+    return stats_.RecordStop(limits_.CheckStop(stats_.recursions));
   }
 
   const DenseSubgraph& g_;

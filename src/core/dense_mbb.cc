@@ -476,13 +476,7 @@ class DenseMbbSearcher {
   }
 
   bool LimitFired() {
-    const StopCause cause = options_.limits.CheckStop(stats_.recursions);
-    if (cause != StopCause::kNone) {
-      stats_.timed_out = true;
-      if (stats_.stop_cause == StopCause::kNone) stats_.stop_cause = cause;
-      return true;
-    }
-    return false;
+    return stats_.RecordStop(options_.limits.CheckStop(stats_.recursions));
   }
 
   /// Maximum matching of the bipartite complement restricted to the

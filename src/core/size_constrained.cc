@@ -28,15 +28,17 @@ class SizeConstrainedSearcher {
     return witness_;
   }
 
-  bool timed_out() const { return timed_out_; }
+  /// The first limit that fired, or kNone when the search ran to the end.
+  StopCause stop_cause() const { return stop_cause_; }
 
  private:
   // Returns true when the search should stop (found or limit).
   bool Rec(Bitset ca, Bitset cb) {
     while (true) {
       ++recursions_;
-      if (limits_.ShouldStop(recursions_)) {
-        timed_out_ = true;
+      const StopCause cause = limits_.CheckStop(recursions_);
+      if (cause != StopCause::kNone) {
+        stop_cause_ = cause;
         return true;
       }
 
@@ -172,7 +174,7 @@ class SizeConstrainedSearcher {
   std::vector<VertexId> b_;
   Biclique witness_;
   bool found_ = false;
-  bool timed_out_ = false;
+  StopCause stop_cause_ = StopCause::kNone;
   std::uint64_t recursions_ = 0;
 };
 
@@ -180,15 +182,15 @@ class SizeConstrainedSearcher {
 
 std::optional<Biclique> FindSizeConstrainedBiclique(
     const DenseSubgraph& g, std::uint32_t a, std::uint32_t b,
-    const SearchLimits& limits, bool* timed_out) {
+    const SearchLimits& limits, StopCause* stop_cause) {
   if (a > g.num_left() || b > g.num_right()) {
-    if (timed_out != nullptr) *timed_out = false;
+    if (stop_cause != nullptr) *stop_cause = StopCause::kNone;
     return std::nullopt;
   }
   SizeConstrainedSearcher searcher(g, a, b, limits);
   std::optional<Biclique> result = searcher.Run();
-  if (timed_out != nullptr) *timed_out = searcher.timed_out();
-  if (searcher.timed_out()) return std::nullopt;
+  if (stop_cause != nullptr) *stop_cause = searcher.stop_cause();
+  if (searcher.stop_cause() != StopCause::kNone) return std::nullopt;
   return result;
 }
 

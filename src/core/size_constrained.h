@@ -19,10 +19,10 @@ namespace mbb {
 /// Solved by an adapted denseMBB-style branch and bound with the pair
 /// target (prunes on per-side potentials and the candidates' degree
 /// requirements). Returns std::nullopt when no such biclique exists (or
-/// the limit fired — check `*timed_out`).
+/// a limit fired — `*stop_cause` then names the first one, else kNone).
 std::optional<Biclique> FindSizeConstrainedBiclique(
     const DenseSubgraph& g, std::uint32_t a, std::uint32_t b,
-    const SearchLimits& limits = {}, bool* timed_out = nullptr);
+    const SearchLimits& limits = {}, StopCause* stop_cause = nullptr);
 
 /// The maximal (a, b) instances (Pareto frontier) of a whole subgraph —
 /// the generalization of Observation 2 from single path/cycle components

@@ -162,11 +162,6 @@ struct SearchLimits {
     }
     return StopCause::kNone;
   }
-
-  /// Convenience form of `CheckStop` for callers that don't record causes.
-  bool ShouldStop(std::uint64_t recursions) const {
-    return CheckStop(recursions) != StopCause::kNone;
-  }
 };
 
 /// Counters recorded by the searches. Powers the paper's Figure 5 (average
@@ -232,6 +227,16 @@ struct SearchStats {
   /// The first limit that fired (kNone when none did); distinguishes a
   /// wall-clock timeout from a recursion cap or an external stop.
   StopCause stop_cause = StopCause::kNone;
+
+  /// Records one `SearchLimits::CheckStop` outcome: a fired limit marks
+  /// the search timed out and, when it is the first, becomes `stop_cause`.
+  /// Returns true when the search must stop.
+  bool RecordStop(StopCause cause) {
+    if (cause == StopCause::kNone) return false;
+    timed_out = true;
+    if (stop_cause == StopCause::kNone) stop_cause = cause;
+    return true;
+  }
 
   double AverageDepth() const {
     return recursions == 0

@@ -187,14 +187,13 @@ class SizeConstrainedSolver final : public NamedSolver<true> {
   using NamedSolver::NamedSolver;
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    bool timed_out = false;
     MbbResult result;
     const std::optional<Biclique> witness = FindSizeConstrainedBiclique(
         DenseSubgraph::Whole(g), options.size_a, options.size_b,
-        options.Limits(), &timed_out);
+        options.Limits(), &result.stats.stop_cause);
     if (witness.has_value()) result.best = *witness;
-    result.stats.timed_out = timed_out;
-    result.exact = !timed_out;
+    result.stats.timed_out = result.stats.stop_cause != StopCause::kNone;
+    result.exact = !result.stats.timed_out;
     return result;
   }
 };

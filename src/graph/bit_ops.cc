@@ -83,43 +83,9 @@ constexpr KernelTable kAvx2Table = {
 };
 #endif
 
-#ifdef MBB_HAVE_AVX512
-constexpr KernelTable kAvx512Table = {
-    "avx512",            avx512::Count,        avx512::CountAnd,
-    avx512::CountAndNot, avx512::AndAssign,    avx512::AndNotAssign,
-    avx512::AndInto,     avx512::AndCountInto, avx512::AndNotInto,
-};
-#ifdef MBB_HAVE_AVX512_VPOPCNTDQ
-// The transform-only entries are popcount-free; both sub-variants share
-// the plain avx512f implementations for them.
-constexpr KernelTable kAvx512VpopcntTable = {
-    "avx512-vpopcnt",        avx512::vp::Count,        avx512::vp::CountAnd,
-    avx512::vp::CountAndNot, avx512::AndAssign,        avx512::AndNotAssign,
-    avx512::AndInto,         avx512::vp::AndCountInto, avx512::AndNotInto,
-};
-#endif
-#endif
-
 bool CpuSupportsAvx2() {
 #ifdef MBB_HAVE_AVX2
   return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool CpuSupportsAvx512() {
-#ifdef MBB_HAVE_AVX512
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-}
-
-bool CpuSupportsAvx512Vpopcnt() {
-#ifdef MBB_HAVE_AVX512_VPOPCNTDQ
-  return CpuSupportsAvx512() &&
-         __builtin_cpu_supports("avx512vpopcntdq") != 0;
 #else
   return false;
 #endif
@@ -131,36 +97,15 @@ bool EnvFlagSet(const char* name) {
          !(value[0] == '0' && value[1] == '\0');
 }
 
-/// The widest table the build + CPU allow, ignoring every downgrade knob.
-const KernelTable& BestTable() {
-#ifdef MBB_HAVE_AVX512_VPOPCNTDQ
-  if (CpuSupportsAvx512Vpopcnt()) return kAvx512VpopcntTable;
-#endif
-#ifdef MBB_HAVE_AVX512
-  if (CpuSupportsAvx512()) return kAvx512Table;
-#endif
-#ifdef MBB_HAVE_AVX2
-  if (CpuSupportsAvx2()) return kAvx2Table;
-#endif
-  return kScalarTable;
-}
-
-/// What `kForceAvx2` resolves to: AVX2 when usable, else scalar.
-const KernelTable& Avx2OrScalarTable() {
-#ifdef MBB_HAVE_AVX2
-  if (CpuSupportsAvx2()) return kAvx2Table;
-#endif
-  return kScalarTable;
-}
-
 /// The table `kAuto` resolves to, decided once (CPUID + the
-/// MBB_FORCE_SCALAR / MBB_FORCE_AVX2 environment overrides read at
-/// first use).
+/// MBB_FORCE_SCALAR environment override read at first use).
 const KernelTable& AutoTable() {
   static const KernelTable& table = []() -> const KernelTable& {
     if (EnvFlagSet("MBB_FORCE_SCALAR")) return kScalarTable;
-    if (EnvFlagSet("MBB_FORCE_AVX2")) return Avx2OrScalarTable();
-    return BestTable();
+#ifdef MBB_HAVE_AVX2
+    if (CpuSupportsAvx2()) return kAvx2Table;
+#endif
+    return kScalarTable;
   }();
   return table;
 }
@@ -170,13 +115,9 @@ std::atomic<DispatchPolicy> g_policy{DispatchPolicy::kAuto};
 }  // namespace
 
 const KernelTable& Active() {
-  switch (g_policy.load(std::memory_order_relaxed)) {
-    case DispatchPolicy::kForceScalar:
-      return kScalarTable;
-    case DispatchPolicy::kForceAvx2:
-      return Avx2OrScalarTable();
-    case DispatchPolicy::kAuto:
-      break;
+  if (g_policy.load(std::memory_order_relaxed) ==
+      DispatchPolicy::kForceScalar) {
+    return kScalarTable;
   }
   return AutoTable();
 }
@@ -202,20 +143,6 @@ bool SimdCompiledIn() {
 bool SimdAvailable() {
   return SimdCompiledIn() && detail::CpuSupportsAvx2();
 }
-
-bool Avx512CompiledIn() {
-#ifdef MBB_HAVE_AVX512
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool Avx512Available() {
-  return Avx512CompiledIn() && detail::CpuSupportsAvx512();
-}
-
-bool Avx512VpopcntAvailable() { return detail::CpuSupportsAvx512Vpopcnt(); }
 
 const char* ActiveDispatchName() { return detail::Active().name; }
 

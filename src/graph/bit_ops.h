@@ -10,22 +10,13 @@
 /// zero-tail invariant (bits beyond the logical size of the last word are
 /// zero), so no kernel ever masks.
 ///
-/// Four layers:
+/// Three layers:
 ///   - `bitops::scalar::*`  — portable reference loops, always compiled.
 ///   - `bitops::avx2::*`    — AVX2 implementations, compiled only when the
 ///                            build enables them (see `MBB_HAVE_AVX2` /
 ///                            the `MBB_DISABLE_SIMD` CMake option). The
 ///                            translation unit is built with `-mavx2`, so
 ///                            these must only be called after a CPU check.
-///   - `bitops::avx512::*`  — AVX-512 implementations (`MBB_HAVE_AVX512`,
-///                            TU built with `-mavx512f`), in two
-///                            sub-variants: a Harley–Seal/Muła fallback
-///                            needing only avx512f, and
-///                            `bitops::avx512::vp::*` counting kernels
-///                            using native VPOPCNTDQ
-///                            (`MBB_HAVE_AVX512_VPOPCNTDQ`, per-function
-///                            target attributes). Only call after the
-///                            matching CPU check.
 ///   - `bitops::X(...)`     — inline entry points: tiny inputs (<= 2
 ///                            words, the common case for the 24-64 vertex
 ///                            dense subgraphs of the sparse pipeline) are
@@ -33,13 +24,11 @@
 ///                            inputs go through the runtime-dispatch table
 ///                            picked once from CPUID + policy.
 ///
-/// The dispatch policy can be downgraded at runtime — to scalar
+/// The dispatch policy can be downgraded to scalar at runtime
 /// (`SetDispatchPolicy(DispatchPolicy::kForceScalar)` or
-/// `MBB_FORCE_SCALAR=1`) or capped at AVX2
-/// (`DispatchPolicy::kForceAvx2` or `MBB_FORCE_AVX2=1`; resolves to
-/// scalar when AVX2 itself is unavailable) — so tests and benches can
-/// cross-check every rung of the avx512→avx2→scalar chain in one binary.
-/// Environment overrides are read once at first kernel use.
+/// `MBB_FORCE_SCALAR=1`) so tests and benches can cross-check both
+/// backends in one binary. The environment override is read once at first
+/// kernel use.
 namespace mbb::bitops {
 
 namespace detail {
@@ -72,8 +61,7 @@ inline constexpr std::size_t kInlineWordLimit = 2;
 }  // namespace detail
 
 enum class DispatchPolicy {
-  kAuto,         // best backend the build + CPU allow (avx512 > avx2)
-  kForceAvx2,    // cap at AVX2; resolves to scalar when AVX2 unavailable
+  kAuto,         // AVX2 when the build + CPU allow it, else scalar
   kForceScalar,  // scalar kernels regardless of CPU support
 };
 
@@ -89,22 +77,9 @@ bool SimdCompiledIn();
 /// supports it.
 bool SimdAvailable();
 
-/// True when the AVX-512 backend was compiled into this binary.
-bool Avx512CompiledIn();
-
-/// True when the AVX-512 backend is compiled in AND the running CPU
-/// reports avx512f (i.e. `kAuto` resolves to one of the avx512 tables,
-/// absent environment downgrades).
-bool Avx512Available();
-
-/// True when `Avx512Available()` and the CPU additionally reports
-/// avx512vpopcntdq, so the native-popcount sub-variant is selectable.
-bool Avx512VpopcntAvailable();
-
-/// Name of the backend the dispatch layer currently resolves to:
-/// "avx512-vpopcnt", "avx512", "avx2" or "scalar". Inputs of <=
-/// `kInlineWordLimit` words always use inline scalar code regardless of
-/// this value.
+/// Name of the backend the dispatch layer currently resolves to: "avx2"
+/// or "scalar". Inputs of <= `kInlineWordLimit` words always use inline
+/// scalar code regardless of this value.
 const char* ActiveDispatchName();
 
 // ---------------------------------------------------------------------------
@@ -152,46 +127,6 @@ void AndNotInto(std::uint64_t* dst, const std::uint64_t* a,
                 const std::uint64_t* b, std::size_t words);
 }  // namespace avx2
 #endif  // MBB_HAVE_AVX2
-
-#ifdef MBB_HAVE_AVX512
-// ---------------------------------------------------------------------------
-// AVX-512 kernels. Only call when `Avx512Available()` (and
-// `Avx512VpopcntAvailable()` for the `vp` sub-namespace) — the dispatch
-// layer takes care of that; tests calling these directly must check first.
-// ---------------------------------------------------------------------------
-namespace avx512 {
-std::size_t Count(const std::uint64_t* a, std::size_t words);
-std::size_t CountAnd(const std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t words);
-std::size_t CountAndNot(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t words);
-void AndAssign(std::uint64_t* dst, const std::uint64_t* src,
-               std::size_t words);
-void AndNotAssign(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t words);
-void AndInto(std::uint64_t* dst, const std::uint64_t* a,
-             const std::uint64_t* b, std::size_t words);
-std::size_t AndCountInto(std::uint64_t* dst, const std::uint64_t* a,
-                         const std::uint64_t* b, std::size_t words);
-void AndNotInto(std::uint64_t* dst, const std::uint64_t* a,
-                const std::uint64_t* b, std::size_t words);
-
-#ifdef MBB_HAVE_AVX512_VPOPCNTDQ
-// Native-VPOPCNTDQ counting kernels; the transform-only kernels above are
-// popcount-free and shared by both sub-variant tables.
-namespace vp {
-std::size_t Count(const std::uint64_t* a, std::size_t words);
-std::size_t CountAnd(const std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t words);
-std::size_t CountAndNot(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t words);
-std::size_t AndCountInto(std::uint64_t* dst, const std::uint64_t* a,
-                         const std::uint64_t* b, std::size_t words);
-}  // namespace vp
-#endif  // MBB_HAVE_AVX512_VPOPCNTDQ
-
-}  // namespace avx512
-#endif  // MBB_HAVE_AVX512
 
 // ---------------------------------------------------------------------------
 // Dispatching entry points. `dst` may alias `a` (the in-place forms the

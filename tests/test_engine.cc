@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -125,6 +126,31 @@ TEST(SolverOptions, RecursionCapFiresThroughRegistry) {
   const MbbResult r = SolverRegistry::Solve("dense", g, options);
   EXPECT_FALSE(r.exact);
   EXPECT_TRUE(r.stats.timed_out);
+}
+
+TEST(SolverOptions, EveryExactSolverReportsWhyItStoppedEarly) {
+  // A solve that gives up exactness must say which limit fired: the server
+  // reads `stop_cause` to answer a cancelled query and count it.
+  const BipartiteGraph g = testing::RandomGraph(20, 20, 0.6, 11);
+  const SolverRegistry& registry = SolverRegistry::Instance();
+  for (const std::string& name : registry.Names()) {
+    if (!registry.Get(name).IsExact() || name == "brute") continue;
+
+    SolverOptions capped;
+    capped.max_recursions = 1;
+    const MbbResult r_cap = SolverRegistry::Solve(name, g, capped);
+    if (!r_cap.exact) {
+      EXPECT_NE(r_cap.stats.stop_cause, StopCause::kNone) << name;
+    }
+
+    SolverOptions cancelled;
+    cancelled.stop_token = std::make_shared<StopToken>();
+    cancelled.stop_token->RequestStop(StopCause::kExternal);
+    const MbbResult r_stop = SolverRegistry::Solve(name, g, cancelled);
+    if (!r_stop.exact) {
+      EXPECT_EQ(r_stop.stats.stop_cause, StopCause::kExternal) << name;
+    }
+  }
 }
 
 TEST(SolverOptions, InitialBoundSuppressesSmallerResults) {

@@ -73,10 +73,10 @@ TEST(SizeConstrained, TimeoutInjection) {
   const DenseSubgraph s = testing::WholeGraphDense(g);
   SearchLimits limits;
   limits.max_recursions = 2;
-  bool timed_out = false;
-  const auto result =
-      FindSizeConstrainedBiclique(s, 6, 6, limits, &timed_out);
-  if (timed_out) {
+  StopCause cause = StopCause::kNone;
+  const auto result = FindSizeConstrainedBiclique(s, 6, 6, limits, &cause);
+  if (cause != StopCause::kNone) {
+    EXPECT_EQ(cause, StopCause::kRecursionCap);
     EXPECT_FALSE(result.has_value());
   }
 }

@@ -94,7 +94,6 @@ TEST(SearchLimits, ExternalStopTokenFiresOffPollBoundary) {
   EXPECT_EQ(limits.CheckStop(5), StopCause::kNone);
   limits.stop_token->RequestStop(StopCause::kExternal);
   EXPECT_EQ(limits.CheckStop(5), StopCause::kExternal);
-  EXPECT_TRUE(limits.ShouldStop(5));
 }
 
 TEST(SearchLimits, DeadlineObservationTripsTheSharedToken) {
@@ -118,9 +117,10 @@ TEST(SearchLimits, SingleThreadPollIntervalSemanticsUnchanged) {
   // Without a token, a passed deadline is only noticed at poll boundaries
   // (recursions ≡ 1 mod kDeadlinePollInterval) — the original contract.
   const SearchLimits limits = SearchLimits::FromSeconds(-1.0);
-  EXPECT_FALSE(limits.ShouldStop(2));
-  EXPECT_TRUE(limits.ShouldStop(1));
-  EXPECT_TRUE(limits.ShouldStop(SearchLimits::kDeadlinePollInterval + 1));
+  EXPECT_EQ(limits.CheckStop(2), StopCause::kNone);
+  EXPECT_EQ(limits.CheckStop(1), StopCause::kDeadline);
+  EXPECT_EQ(limits.CheckStop(SearchLimits::kDeadlinePollInterval + 1),
+            StopCause::kDeadline);
 }
 
 TEST(MbbResult, DefaultIsExactAndEmpty) {
