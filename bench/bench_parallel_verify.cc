@@ -1,7 +1,7 @@
 /// Measures the parallel verifyMBB fan-out: the surviving centred
 /// subgraphs of a multi-survivor sparse instance are verified with 1, 2, 4
 /// and 8 workers, all runs from the same survivor list and incumbent, and
-/// the wall-clock speedup over the sequential scan is reported. The best
+/// the wall-clock speedup over the one-worker scan is reported. The best
 /// balanced size must be identical at every thread count (the shared
 /// atomic incumbent only tightens pruning; it never changes the answer).
 ///

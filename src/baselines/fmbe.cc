@@ -14,56 +14,18 @@
 
 namespace mbb {
 
-namespace {
-
-/// The original single-thread scan: one pooled context, strict order, the
-/// incumbent tightened in place between scopes.
-MbbResult FmbeSequential(const BipartiteGraph& g, const SearchLimits& limits,
-                         std::uint32_t initial_best,
-                         const VertexOrder& order) {
-  MbbResult out;
-  out.stats.terminated_step = 0;
-  std::uint32_t best_size = initial_best;
-
-  CenteredWorkspace workspace;
-  SearchContext ctx;  // one pooled arena across all per-scope searches
-  for (const std::uint32_t center : order.order) {
-    const CenteredSubgraph s =
-        BuildCenteredSubgraph(g, order, center, workspace);
-    ++out.stats.subgraphs_total;
-    if (std::min(s.same_side.size(), s.other_side.size()) <= best_size) {
-      ++out.stats.subgraphs_pruned_size;
-      continue;
-    }
-    const DenseSubgraph dense = DenseSubgraph::Build(
-        g, s.same_side, s.other_side, s.center_side);
-    ++out.stats.subgraphs_searched;
-    MbbResult scoped =
-        BasicBbSolveAnchored(dense, /*anchor=*/0, limits, best_size, &ctx);
-    out.stats.Merge(scoped.stats);
-    if (!scoped.exact) {
-      out.exact = false;
-      return out;
-    }
-    if (scoped.best.BalancedSize() > best_size) {
-      best_size = scoped.best.BalancedSize();
-      out.best = dense.ToOriginal(scoped.best);
-    }
-  }
-  out.best.MakeBalanced();
-  return out;
-}
-
-/// The parallel fan-out: workers claim scopes from a shared counter, each
-/// with its own workspace, pooled context, and stats shard. basicBB has no
-/// shared-bound hook, so the incumbent is snapshotted once per scope at
-/// claim time; improvements published through the shared bound are picked
-/// up by every scope claimed after them. Pruning against any bound between
-/// the initial and final incumbent is sound, so the reduced size always
-/// matches the sequential scan.
-MbbResult FmbeParallel(const BipartiteGraph& g, const SearchLimits& limits,
-                       std::uint32_t initial_best, const VertexOrder& order,
-                       std::size_t num_threads) {
+/// Workers claim scopes from a shared counter, each with its own
+/// workspace, pooled context, and stats shard; one worker is the plain
+/// in-order scan. basicBB has no shared-bound hook, so the incumbent is
+/// snapshotted once per scope at claim time; improvements published through
+/// the shared bound are picked up by every scope claimed after them.
+/// Pruning against any bound between the initial and final incumbent is
+/// sound, so the reduced size is the same at any worker count.
+MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits,
+                    std::uint32_t initial_best, std::uint32_t num_threads) {
+  const VertexOrder order = ComputeVertexOrder(g, VertexOrderKind::kDegree);
+  const std::size_t num_workers =
+      EffectiveThreadCount(num_threads, order.order.size());
   MbbResult out;
   out.stats.terminated_step = 0;
 
@@ -86,11 +48,11 @@ MbbResult FmbeParallel(const BipartiteGraph& g, const SearchLimits& limits,
     SearchStats stats;
     bool exact = true;
   };
-  std::vector<WorkerState> workers(num_threads);
+  std::vector<WorkerState> workers(num_workers);
   std::vector<ScopeResult> results(order.order.size());
 
   ParallelFor(
-      num_threads, order.order.size(),
+      num_workers, order.order.size(),
       [&](std::size_t worker, std::size_t item) {
         WorkerState& state = workers[worker];
         ++state.stats.subgraphs_total;
@@ -116,8 +78,8 @@ MbbResult FmbeParallel(const BipartiteGraph& g, const SearchLimits& limits,
         state.stats.Merge(scoped.stats);
         if (!scoped.exact) {
           state.exact = false;
-          // Mirror the sequential early exit: the first interrupted scope
-          // aborts the whole scan.
+          // The first interrupted scope aborts the whole scan; the best
+          // biclique it found so far is still recorded below.
           stop->RequestStop(scoped.stats.stop_cause == StopCause::kNone
                                 ? StopCause::kExternal
                                 : scoped.stats.stop_cause);
@@ -148,19 +110,6 @@ MbbResult FmbeParallel(const BipartiteGraph& g, const SearchLimits& limits,
   }
   out.best.MakeBalanced();
   return out;
-}
-
-}  // namespace
-
-MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits,
-                    std::uint32_t initial_best, std::uint32_t num_threads) {
-  const VertexOrder order = ComputeVertexOrder(g, VertexOrderKind::kDegree);
-  const std::size_t workers =
-      EffectiveThreadCount(num_threads, order.order.size());
-  if (workers > 1) {
-    return FmbeParallel(g, limits, initial_best, order, workers);
-  }
-  return FmbeSequential(g, limits, initial_best, order);
 }
 
 }  // namespace mbb

@@ -16,12 +16,12 @@ namespace mbb {
 /// and the per-scope search is an anchored alternating branch-and-bound
 /// with the incumbent as lower bound.
 ///
-/// Exact; result in `g`'s ids. With `num_threads != 1` the per-scope
-/// searches fan out across workers (0 = one per hardware thread): each
-/// scope snapshots a shared atomic incumbent when claimed, and the first
-/// search a limit interrupts stops the whole fleet. The returned size
-/// matches the sequential run; between equally-sized optima the witness
-/// may differ with interleaving.
+/// Exact; result in `g`'s ids. The per-scope searches fan out across
+/// `num_threads` workers (0 = one per hardware thread): each scope
+/// snapshots a shared atomic incumbent when claimed, and the first search
+/// a limit interrupts stops the whole fleet, whose best biclique so far is
+/// still returned. The returned size matches the one-thread run; between
+/// equally-sized optima the witness may differ with interleaving.
 MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits = {},
                     std::uint32_t initial_best = 0,
                     std::uint32_t num_threads = 1);

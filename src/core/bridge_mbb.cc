@@ -27,9 +27,9 @@ SideLists Split(const CenteredSubgraph& s) {
   return {&s.other_side, &s.same_side};
 }
 
-/// One centre's scan result in the parallel path. Slots are written by
-/// exactly one worker and reduced on the caller in rank order, which is
-/// what makes the parallel scan's answer independent of worker timing.
+/// One centre's scan result. Slots are written by exactly one worker and
+/// reduced on the caller in rank order, which is what makes the scan's
+/// answer independent of worker timing.
 struct CenterScan {
   enum class Outcome : std::uint8_t { kKept, kPrunedSize, kPrunedDegeneracy };
   Outcome outcome = Outcome::kPrunedSize;
@@ -39,26 +39,34 @@ struct CenterScan {
   std::uint32_t improvement_size = 0;
 };
 
-/// Parallel centred-subgraph scan. Correctness note: a centre pruned
-/// against *any* incumbent snapshot (which is always >= the incoming bound
-/// and <= the final bound) can never carry a biclique beating the final
-/// bound, so pruning against a concurrently raised snapshot loses nothing;
-/// and whoever first raises the shared snapshot to the maximum recorded its
-/// own improvement, so the maximal size always survives to the reduce. The
-/// final incumbent size and the survivor set therefore match the
-/// sequential scan at any timing; in deterministic mode (snapshots never
-/// move) every maximal centre records, the rank-order reduce picks the
-/// lowest rank, and even the witness biclique is the sequential one.
-BridgeOutcome BridgeMbbParallel(const BipartiteGraph& reduced,
-                                std::uint32_t initial_best_size,
-                                const BridgeOptions& options,
-                                const VertexOrder& order,
-                                std::size_t num_threads) {
+}  // namespace
+
+/// The centred-subgraph scan, fanned out over the workers (one worker is
+/// the plain in-order scan). Correctness note: a centre pruned against
+/// *any* incumbent snapshot (which is always >= the incoming bound and <=
+/// the final bound) can never carry a biclique beating the final bound, so
+/// pruning against a concurrently raised snapshot loses nothing; and
+/// whoever first raises the shared snapshot to the maximum recorded its own
+/// improvement, so the maximal size always survives to the reduce. The
+/// final incumbent size and the survivor set are therefore the same at any
+/// timing. In deterministic mode with several workers the snapshots are
+/// frozen at the incoming bound, every maximal centre records, and the
+/// rank-order reduce picks the lowest rank: the one-worker witness.
+BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
+                        std::uint32_t initial_best_size,
+                        const BridgeOptions& options,
+                        SearchContext* context) {
   BridgeOutcome out;
   out.best_size = initial_best_size;
   out.stats.terminated_step = 2;
 
+  // Line 1-2: order + vertex-centred subgraphs.
+  const VertexOrder order = ComputeVertexOrder(reduced, options.order);
   const std::size_t num_centers = order.order.size();
+  const std::size_t num_workers =
+      EffectiveThreadCount(options.num_threads, num_centers);
+  // One worker's live snapshot is already timing-independent.
+  const bool frozen = options.deterministic && num_workers > 1;
   std::vector<CenterScan> results(num_centers);
   SharedBound shared(initial_best_size);
 
@@ -67,22 +75,26 @@ BridgeOutcome BridgeMbbParallel(const BipartiteGraph& reduced,
     SearchContext ctx;
     CsrScratch scratch;
   };
-  std::vector<WorkerState> workers(num_threads);
+  std::vector<WorkerState> workers(num_workers);
 
-  ParallelFor(num_threads, num_centers, [&](std::size_t worker,
+  ParallelFor(num_workers, num_centers, [&](std::size_t worker,
                                             std::size_t item) {
     WorkerState& ws = workers[worker];
     CenterScan& slot = results[item];
     const std::uint32_t snapshot =
-        options.deterministic ? initial_best_size : shared.Load();
+        frozen ? initial_best_size : shared.Load();
     CenteredSubgraph s = BuildCenteredSubgraph(reduced, order,
                                                order.order[item],
                                                ws.workspace);
+    // Line 4-6: size pruning — a biclique beating the incumbent needs at
+    // least snapshot + 1 vertices on each side.
     const SideLists lists = Split(s);
     if (std::min(lists.left->size(), lists.right->size()) <= snapshot) {
       slot.outcome = CenterScan::Outcome::kPrunedSize;
       return;
     }
+    // Lines 7-10: degeneracy pruning. A (k+1) x (k+1) biclique forces a
+    // subgraph of minimum degree k+1, so δ(H) <= k rules improvement out.
     InducedSubgraph induced =
         options.sparse_reduction
             ? CsrInduce(reduced, *lists.left, *lists.right, ws.scratch)
@@ -94,8 +106,13 @@ BridgeOutcome BridgeMbbParallel(const BipartiteGraph& reduced,
         return;
       }
     }
+    // Lines 11-13: local heuristic on H. Any biclique of H is a biclique of
+    // the reduced graph, so improvements are global. Worker 0 is the
+    // caller's thread and pools its score scratch in `context`.
     if (options.use_local_heuristic) {
-      std::vector<std::uint32_t>& scores = ws.ctx.ScoreScratch();
+      SearchContext& ctx =
+          worker == 0 && context != nullptr ? *context : ws.ctx;
+      std::vector<std::uint32_t>& scores = ctx.ScoreScratch();
       DegreeScoresInto(induced.graph, scores);
       Biclique local = GreedyMbb(induced.graph, scores, options.greedy);
       if (local.BalancedSize() > snapshot) {
@@ -103,15 +120,15 @@ BridgeOutcome BridgeMbbParallel(const BipartiteGraph& reduced,
         for (VertexId& l : local.left) l = induced.left_to_old[l];
         for (VertexId& r : local.right) r = induced.right_to_old[r];
         slot.improvement = std::move(local);
-        if (!options.deterministic) shared.RaiseTo(slot.improvement_size);
+        if (!frozen) shared.RaiseTo(slot.improvement_size);
       }
     }
     slot.outcome = CenterScan::Outcome::kKept;
     slot.subgraph = std::move(s);
   });
 
-  // Rank-order reduce: adopt strictly-greater improvements (first maximal
-  // winner, as in the sequential scan) and bucket the prunes.
+  // Rank-order reduce: adopt strictly-greater improvements (the first
+  // maximal winner in scan order) and bucket the prunes.
   out.stats.subgraphs_total = num_centers;
   for (CenterScan& slot : results) {
     switch (slot.outcome) {
@@ -131,8 +148,9 @@ BridgeOutcome BridgeMbbParallel(const BipartiteGraph& reduced,
     }
   }
 
-  // Re-filter survivors against the final incumbent, in rank order — the
-  // same pass the sequential scan runs.
+  // Re-filter survivors against the final incumbent, in rank order:
+  // heuristic hits later in the scan can retroactively prune earlier
+  // survivors.
   for (CenterScan& slot : results) {
     if (slot.outcome != CenterScan::Outcome::kKept) continue;
     const SideLists lists = Split(slot.subgraph);
@@ -146,102 +164,6 @@ BridgeOutcome BridgeMbbParallel(const BipartiteGraph& reduced,
       continue;
     }
     out.survivors.push_back(std::move(slot.subgraph));
-  }
-  return out;
-}
-
-}  // namespace
-
-BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
-                        std::uint32_t initial_best_size,
-                        const BridgeOptions& options,
-                        SearchContext* context) {
-  SearchContext transient;
-  SearchContext& ctx = context != nullptr ? *context : transient;
-  BridgeOutcome out;
-  out.best_size = initial_best_size;
-  out.stats.terminated_step = 2;
-
-  // Line 1-2: order + vertex-centred subgraphs.
-  const VertexOrder order = ComputeVertexOrder(reduced, options.order);
-
-  const std::size_t scan_threads =
-      EffectiveThreadCount(options.num_threads, order.order.size());
-  if (scan_threads > 1) {
-    return BridgeMbbParallel(reduced, initial_best_size, options, order,
-                             scan_threads);
-  }
-
-  struct Survivor {
-    CenteredSubgraph subgraph;
-    std::uint32_t degeneracy;  // of the induced subgraph (for re-filter)
-  };
-  std::vector<Survivor> kept;
-
-  CenteredWorkspace workspace;
-  CsrScratch scratch;
-  for (const std::uint32_t center : order.order) {
-    CenteredSubgraph s =
-        BuildCenteredSubgraph(reduced, order, center, workspace);
-    ++out.stats.subgraphs_total;
-
-    // Line 4-6: size pruning — a biclique beating the incumbent needs at
-    // least best_size + 1 vertices on each side.
-    const SideLists lists = Split(s);
-    if (std::min(lists.left->size(), lists.right->size()) <=
-        out.best_size) {
-      ++out.stats.subgraphs_pruned_size;
-      continue;
-    }
-
-    // Lines 7-10: degeneracy pruning. A (k+1) x (k+1) biclique forces a
-    // subgraph of minimum degree k+1, so δ(H) <= k rules improvement out.
-    InducedSubgraph induced =
-        options.sparse_reduction
-            ? CsrInduce(reduced, *lists.left, *lists.right, scratch)
-            : reduced.Induce(*lists.left, *lists.right);
-    std::uint32_t h_degeneracy = 0;
-    if (options.use_degeneracy_pruning) {
-      h_degeneracy = ComputeCores(induced.graph).degeneracy;
-      if (h_degeneracy <= out.best_size) {
-        ++out.stats.subgraphs_pruned_degeneracy;
-        continue;
-      }
-    }
-
-    // Lines 11-13: local heuristic on H. Any biclique of H is a biclique of
-    // the reduced graph, so improvements are global.
-    if (options.use_local_heuristic) {
-      std::vector<std::uint32_t>& scores = ctx.ScoreScratch();
-      DegreeScoresInto(induced.graph, scores);
-      Biclique local = GreedyMbb(induced.graph, scores, options.greedy);
-      if (local.BalancedSize() > out.best_size) {
-        out.best_size = local.BalancedSize();
-        out.improved = true;
-        for (VertexId& l : local.left) l = induced.left_to_old[l];
-        for (VertexId& r : local.right) r = induced.right_to_old[r];
-        out.best = std::move(local);
-      }
-    }
-
-    kept.push_back({std::move(s), h_degeneracy});
-  }
-
-  // Re-filter survivors against the final incumbent: heuristic hits later
-  // in the scan can retroactively prune earlier survivors.
-  for (Survivor& survivor : kept) {
-    const SideLists lists = Split(survivor.subgraph);
-    if (std::min(lists.left->size(), lists.right->size()) <=
-        out.best_size) {
-      ++out.stats.subgraphs_pruned_size;
-      continue;
-    }
-    if (options.use_degeneracy_pruning &&
-        survivor.degeneracy <= out.best_size) {
-      ++out.stats.subgraphs_pruned_degeneracy;
-      continue;
-    }
-    out.survivors.push_back(std::move(survivor.subgraph));
   }
   return out;
 }

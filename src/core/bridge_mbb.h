@@ -27,15 +27,17 @@ struct BridgeOptions {
   /// incumbent before verification ("heuLocal" in Figure 4).
   bool use_local_heuristic = true;
   /// Workers for the centred-subgraph scan (0 = one per hardware thread,
-  /// 1 = the sequential scan). Parallel workers prune against a shared
-  /// atomic incumbent snapshot and the reduce picks the lowest-rank winner,
-  /// so the returned incumbent and survivor set match the sequential scan
-  /// exactly; only the per-bucket prune attribution can shift with timing.
+  /// 1 = one worker scanning in order on the caller's thread). Workers
+  /// prune against a shared atomic incumbent snapshot and the reduce picks
+  /// the lowest-rank winner, so the returned incumbent and survivor set
+  /// match the one-worker scan exactly; only the per-bucket prune
+  /// attribution can shift with timing.
   std::uint32_t num_threads = 1;
-  /// Prune against the incoming incumbent only (no cross-worker snapshot),
-  /// making every counter — not just the result — identical at every
-  /// thread count, at the cost of running the local greedy on centres a
-  /// live bound would have skipped.
+  /// With more than one worker, prune against the incoming incumbent only
+  /// (no cross-worker snapshot), making every counter — not just the
+  /// result — identical at every such thread count, at the cost of running
+  /// the local greedy on centres a live bound would have skipped. One
+  /// worker is timing-independent already and keeps its live incumbent.
   bool deterministic = false;
   /// Build the per-centre induced subgraphs through a reusable
   /// `CsrScratch` (`CsrInduce`) instead of `BipartiteGraph::Induce`: same
@@ -63,8 +65,10 @@ struct BridgeOutcome {
 /// streams all vertex-centred subgraphs, prunes by size / degeneracy
 /// against the incumbent, refines the incumbent with a local greedy, and
 /// returns the surviving subgraphs (re-filtered against the final
-/// incumbent). `context` pools the per-subgraph score scratch; pass the
-/// pipeline's shared `SearchContext` or nullptr for a transient one.
+/// incumbent). Worker 0 runs on the caller's thread and pools its
+/// per-subgraph score scratch in `context`; pass the pipeline's shared
+/// `SearchContext`, or nullptr to give it a transient one like the other
+/// workers.
 BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
                         std::uint32_t initial_best_size,
                         const BridgeOptions& options = {},

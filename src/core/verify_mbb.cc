@@ -31,8 +31,8 @@ struct SurvivorResult {
 
 /// Lines 2-5 of Algorithm 8 for one survivor: stale pruning, core
 /// reduction, and the anchored exhaustive search, all against the
-/// `best_size` snapshot. `dense_options` arrives with limits (and, in the
-/// parallel path, the shared bound) already installed; `stats` is the
+/// `best_size` snapshot. `dense_options` arrives with limits (and, with
+/// several workers, the shared bound) already installed; `stats` is the
 /// calling worker's shard.
 SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
                                const CenteredSubgraph& s,
@@ -42,8 +42,8 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
                                CsrScratch& scratch, SearchStats& stats) {
   SurvivorResult out;
 
-  // Stale pruning: the incumbent may have grown since step 2 (or, in the
-  // parallel path, since this survivor was enqueued).
+  // Stale pruning: the incumbent may have grown since step 2, through
+  // earlier survivors' searches.
   if (std::min(s.same_side.size(), s.other_side.size()) <= best_size) {
     ++stats.subgraphs_pruned_size;
     return out;
@@ -145,63 +145,39 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
   return out;
 }
 
-/// The original single-thread scan: one pooled context, one stats sink,
-/// strictly in survivor order.
-VerifyOutcome VerifySequential(const BipartiteGraph& reduced,
-                               std::uint32_t initial_best_size,
-                               std::span<const CenteredSubgraph> survivors,
-                               const VerifyOptions& options,
-                               SearchContext& ctx) {
-  VerifyOutcome out;
-  out.best_size = initial_best_size;
-  out.stats.terminated_step = 3;
-  const DenseMbbOptions& dense_options = options.dense;
+}  // namespace
 
-  CsrScratch scratch;
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    SurvivorResult result =
-        ProcessSurvivor(reduced, survivors[i], options, dense_options,
-                        out.best_size, ctx, scratch, out.stats);
-    if (result.best_size > out.best_size) {
-      out.best = std::move(result.best);
-      out.best_size = result.best_size;
-      out.improved = true;
-    }
-    if (!result.exact) {
-      out.exact = false;
-      // The limit cut the scan short: the remaining survivors were never
-      // searched. Count them so the accounting identity (total == pruned +
-      // searched + skipped) holds and the caller can see how much
-      // verification the timeout cost.
-      out.stats.subgraphs_skipped +=
-          static_cast<std::uint64_t>(survivors.size() - i - 1);
-      break;
-    }
-  }
-  return out;
-}
-
-/// The parallel fan-out: workers claim survivors from a shared counter,
+/// The survivor fan-out: workers claim survivors from a shared counter,
 /// each with its own pooled context and stats shard, all pruning against
-/// one atomic incumbent and observing one stop token.
-VerifyOutcome VerifyParallel(const BipartiteGraph& reduced,
-                             std::uint32_t initial_best_size,
-                             std::span<const CenteredSubgraph> survivors,
-                             const VerifyOptions& options,
-                             std::size_t num_threads) {
+/// one atomic incumbent and observing one stop token. One worker is the
+/// plain in-order scan.
+VerifyOutcome VerifyMbb(const BipartiteGraph& reduced,
+                        std::uint32_t initial_best_size,
+                        std::span<const CenteredSubgraph> survivors,
+                        const VerifyOptions& options,
+                        SearchContext* context) {
   VerifyOutcome out;
   out.best_size = initial_best_size;
   out.stats.terminated_step = 3;
 
+  const std::size_t num_workers =
+      EffectiveThreadCount(options.num_threads, survivors.size());
+  // One worker's live snapshot is already timing-independent.
+  const bool frozen = options.dense.deterministic && num_workers > 1;
   SharedBound shared_bound(initial_best_size);
   DenseMbbOptions dense_options = options.dense;
-  // The fan-out is the parallelism here: anchored searches stay sequential
-  // inside (no nested work-stealing), and in deterministic mode they prune
-  // against the step-2 incumbent only, so each survivor's search — and the
-  // lowest-index reduce below — is identical at every thread count.
-  dense_options.num_threads = 1;
-  dense_options.shared_bound =
-      dense_options.deterministic ? nullptr : &shared_bound;
+  // The fan-out is the parallelism here: with several workers the anchored
+  // searches stay sequential inside (no nested work-stealing). One worker
+  // gets no speedup from the fan-out — a single hard survivor is exactly
+  // the one-worst-case-query scenario — so it hands the requested threads
+  // to the anchored search's work-stealing subtree layer instead.
+  dense_options.num_threads = num_workers == 1 ? options.num_threads : 1;
+  if (num_workers > 1) {
+    // In deterministic mode the searches prune against the step-2
+    // incumbent only, so each survivor's search — and the lowest-index
+    // reduce below — does not depend on worker timing.
+    dense_options.shared_bound = frozen ? nullptr : &shared_bound;
+  }
   if (dense_options.limits.stop_token == nullptr) {
     // One token for the whole fleet: the first worker whose clock poll sees
     // the deadline trips it, and every other worker aborts at its next
@@ -216,10 +192,10 @@ VerifyOutcome VerifyParallel(const BipartiteGraph& reduced,
     SearchStats stats;
     bool exact = true;
   };
-  std::vector<WorkerState> workers(num_threads);
+  std::vector<WorkerState> workers(num_workers);
   std::vector<SurvivorResult> results(survivors.size());
 
-  ParallelFor(num_threads, survivors.size(),
+  ParallelFor(num_workers, survivors.size(),
               [&](std::size_t worker, std::size_t item) {
                 WorkerState& state = workers[worker];
                 if (stop->StopRequested()) {
@@ -228,21 +204,24 @@ VerifyOutcome VerifyParallel(const BipartiteGraph& reduced,
                   state.exact = false;
                   return;
                 }
+                // Worker 0 is the caller's thread: its anchored searches
+                // pool their branch frames in `context`.
+                SearchContext& ctx =
+                    worker == 0 && context != nullptr ? *context : state.ctx;
                 SurvivorResult result = ProcessSurvivor(
                     reduced, survivors[item], options, dense_options,
-                    dense_options.deterministic ? initial_best_size
-                                                : shared_bound.Load(),
-                    state.ctx, state.scratch, state.stats);
-                if (result.best_size > 0 && !dense_options.deterministic) {
+                    frozen ? initial_best_size : shared_bound.Load(), ctx,
+                    state.scratch, state.stats);
+                if (result.best_size > 0 && !frozen) {
                   shared_bound.RaiseTo(result.best_size);
                 }
                 if (!result.exact) {
                   state.exact = false;
-                  // Mirror the sequential early exit: the first inexact
-                  // search — whatever its cause — aborts the whole scan,
-                  // so a per-search recursion cap doesn't silently turn
-                  // into survivor-count-many capped searches. (Deadlines
-                  // already tripped the token inside the limit check.)
+                  // The first inexact search — whatever its cause — aborts
+                  // the whole scan, so a per-search recursion cap doesn't
+                  // silently turn into survivor-count-many capped searches.
+                  // (Deadlines already tripped the token inside the limit
+                  // check.) Survivors claimed after it count as skipped.
                   stop->RequestStop(result.stop_cause == StopCause::kNone
                                         ? StopCause::kExternal
                                         : result.stop_cause);
@@ -259,9 +238,10 @@ VerifyOutcome VerifyParallel(const BipartiteGraph& reduced,
   }
 
   // Reduce: the lowest-index recorded improvement at the global maximum
-  // wins. Which survivors record one depends on when their worker
-  // snapshotted the shared bound, so between equally-sized optima the
-  // reported biclique (never its size) may vary with interleaving.
+  // wins. With several workers, which survivors record one depends on when
+  // their worker snapshotted the shared bound, so between equally-sized
+  // optima the reported biclique (never its size) may vary with
+  // interleaving.
   for (SurvivorResult& result : results) {
     if (result.best_size > out.best_size) {
       out.best = std::move(result.best);
@@ -270,36 +250,6 @@ VerifyOutcome VerifyParallel(const BipartiteGraph& reduced,
     }
   }
   return out;
-}
-
-}  // namespace
-
-VerifyOutcome VerifyMbb(const BipartiteGraph& reduced,
-                        std::uint32_t initial_best_size,
-                        std::span<const CenteredSubgraph> survivors,
-                        const VerifyOptions& options,
-                        SearchContext* context) {
-  const std::size_t num_threads =
-      EffectiveThreadCount(options.num_threads, survivors.size());
-  if (num_threads > 1) {
-    return VerifyParallel(reduced, initial_best_size, survivors, options,
-                          num_threads);
-  }
-  // One pooled context serves every anchored search below: after the first
-  // few subgraphs the branch frames stop allocating entirely.
-  SearchContext transient;
-  SearchContext& ctx = context != nullptr ? *context : transient;
-  if (survivors.size() == 1 && options.num_threads != 1) {
-    // A single hard survivor gets no speedup from the fan-out — exactly the
-    // one-worst-case-query scenario — so hand the requested threads to the
-    // anchored search's work-stealing subtree layer instead.
-    VerifyOptions subtree_options = options;
-    subtree_options.dense.num_threads = options.num_threads;
-    return VerifySequential(reduced, initial_best_size, survivors,
-                            subtree_options, ctx);
-  }
-  return VerifySequential(reduced, initial_best_size, survivors, options,
-                          ctx);
 }
 
 }  // namespace mbb

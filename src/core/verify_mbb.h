@@ -24,11 +24,12 @@ struct VerifyOptions {
   /// independent anchored search, so step 3 is embarrassingly parallel.
   /// Workers own a pooled `SearchContext` and a stats shard each, prune
   /// against one shared atomic incumbent, and share one stop token so a
-  /// deadline stops the whole fleet consistently. 1 (the default) runs
-  /// sequentially in the caller's thread; 0 = one worker per hardware
-  /// thread. With exactly one survivor the requested threads go to the
-  /// anchored search's work-stealing subtree layer (`dense.num_threads`)
-  /// instead, so a single worst-case subgraph still uses every core.
+  /// deadline stops the whole fleet consistently. 1 (the default) runs one
+  /// worker, in order, in the caller's thread; 0 = one worker per hardware
+  /// thread. Whenever the fan-out has one worker — in particular with
+  /// exactly one survivor — the requested threads go to the anchored
+  /// search's work-stealing subtree layer (`dense.num_threads`) instead,
+  /// so a single worst-case subgraph still uses every core.
   std::uint32_t num_threads = 1;
   /// Run the per-subgraph core reduction on the CSR substrate: the
   /// survivor is loaded into a reusable `CsrScratch`, peeled in place to
@@ -56,16 +57,15 @@ struct VerifyOutcome {
 /// Runs Algorithm 8: for every surviving vertex-centred subgraph, reduces
 /// it against the incumbent, then runs the anchored exhaustive search
 /// ("must contain the centre") with the incumbent as lower bound.
-/// Sequentially (`options.num_threads == 1`) all anchored searches share
+/// Worker 0 runs on the caller's thread and its anchored searches share
 /// `context`'s pooled scratch (a transient context is used when nullptr);
-/// with more workers each owns its own context and `context` is unused.
-/// The first inexact anchored search — deadline, recursion cap, or
-/// external stop — aborts the whole scan in both paths; survivors cut off
-/// this way are counted in `stats.subgraphs_skipped` with the cause in
-/// `stats.stop_cause`. On runs no limit interrupts, the parallel path
-/// returns the same `best_size` as the sequential one (pruning against a
-/// tighter shared bound is sound), though the winning biclique itself may
-/// differ between equally-sized optima.
+/// every other worker owns its own context. The first inexact anchored
+/// search — deadline, recursion cap, or external stop — aborts the whole
+/// scan; survivors cut off this way are counted in
+/// `stats.subgraphs_skipped` with the cause in `stats.stop_cause`. On runs
+/// no limit interrupts, every worker count returns the same `best_size`
+/// (pruning against a tighter shared bound is sound), though with several
+/// workers the winning biclique may differ between equally-sized optima.
 VerifyOutcome VerifyMbb(const BipartiteGraph& reduced,
                         std::uint32_t initial_best_size,
                         std::span<const CenteredSubgraph> survivors,

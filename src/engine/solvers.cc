@@ -44,6 +44,21 @@ class NamedSolver : public MbbSolver {
   std::string_view name_;
 };
 
+/// `target` with the unified execution policy installed: the budget from
+/// `Limits()`, the thread count, the fork cutoff, determinism, and (on the
+/// hbv-family structs that have it) the CSR reduction switch.
+template <typename Options>
+Options WithPolicy(Options target, const SolverOptions& options) {
+  target.limits = options.Limits();
+  target.num_threads = options.num_threads;
+  target.spawn_depth = options.spawn_depth;
+  target.deterministic = options.deterministic;
+  if constexpr (requires { target.sparse_reduction; }) {
+    target.sparse_reduction = options.sparse_reduction;
+  }
+  return target;
+}
+
 // ---------------------------------------------------------------------------
 // Dense-side exact searchers (whole-graph DenseSubgraph).
 // ---------------------------------------------------------------------------
@@ -53,14 +68,10 @@ class DenseSolver final : public NamedSolver<true> {
   using NamedSolver::NamedSolver;
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    DenseMbbOptions dense = options.dense;
-    dense.limits = options.Limits();
-    dense.num_threads = options.num_threads;
-    dense.spawn_depth = options.spawn_depth;
-    dense.deterministic = options.deterministic;
     SearchContext local;
     SearchContext* ctx = options.context != nullptr ? options.context : &local;
-    return DenseMbbSolve(DenseSubgraph::Whole(g), dense,
+    return DenseMbbSolve(DenseSubgraph::Whole(g),
+                         WithPolicy(options.dense, options),
                          options.initial_bound, ctx);
   }
 };
@@ -95,12 +106,7 @@ class HbvSolver final : public NamedSolver<true> {
       hbv = preset_();
       hbv.greedy = options.hbv.greedy;
     }
-    hbv.limits = options.Limits();
-    hbv.num_threads = options.num_threads;
-    hbv.spawn_depth = options.spawn_depth;
-    hbv.deterministic = options.deterministic;
-    hbv.sparse_reduction = options.sparse_reduction;
-    return HbvMbb(g, hbv);
+    return HbvMbb(g, WithPolicy(std::move(hbv), options));
   }
 
  private:
@@ -113,13 +119,8 @@ class AutoSolver final : public NamedSolver<true> {
   using NamedSolver::NamedSolver;
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    HbvOptions hbv = options.hbv;
-    hbv.limits = options.Limits();
-    hbv.num_threads = options.num_threads;
-    hbv.spawn_depth = options.spawn_depth;
-    hbv.deterministic = options.deterministic;
-    hbv.sparse_reduction = options.sparse_reduction;
-    return FindMaximumBalancedBiclique(g, hbv, options.dense_threshold);
+    return FindMaximumBalancedBiclique(g, WithPolicy(options.hbv, options),
+                                       options.dense_threshold);
   }
 };
 
@@ -208,12 +209,7 @@ class TopKSolver final : public NamedSolver<true> {
                   const SolverOptions& options) const override {
     TopKOptions topk;
     topk.k = options.top_k;
-    topk.hbv = options.hbv;
-    topk.hbv.limits = options.Limits();
-    topk.hbv.num_threads = options.num_threads;
-    topk.hbv.spawn_depth = options.spawn_depth;
-    topk.hbv.deterministic = options.deterministic;
-    topk.hbv.sparse_reduction = options.sparse_reduction;
+    topk.hbv = WithPolicy(options.hbv, options);
     topk.dense_threshold = options.dense_threshold;
     TopKResult found = TopKMbb(g, topk);
     MbbResult result;

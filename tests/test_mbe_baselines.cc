@@ -75,6 +75,28 @@ TEST(Fmbe, ScopePruningCountsSubgraphs) {
             0u);
 }
 
+TEST(Fmbe, RecursionCapKeepsTheBestScopeAndAccountsForEveryCentre) {
+  // An interrupted solve still reports the biclique its scopes found, and
+  // every centre lands in exactly one bucket, at any thread count.
+  const BipartiteGraph g = testing::RandomGraph(60, 60, 0.3, 3);
+  SearchLimits limits;
+  limits.max_recursions = 200;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    const MbbResult result = FmbeSolve(g, limits, 0, threads);
+    EXPECT_FALSE(result.exact) << threads;
+    EXPECT_EQ(result.stats.stop_cause, StopCause::kRecursionCap) << threads;
+    EXPECT_GT(result.best.BalancedSize(), 0u) << threads;
+    EXPECT_TRUE(result.best.IsBicliqueIn(g)) << threads;
+    EXPECT_EQ(result.stats.subgraphs_total, g.NumVertices()) << threads;
+    EXPECT_EQ(result.stats.subgraphs_pruned_size +
+                  result.stats.subgraphs_pruned_degeneracy +
+                  result.stats.subgraphs_searched +
+                  result.stats.subgraphs_skipped,
+              result.stats.subgraphs_total)
+        << threads;
+  }
+}
+
 class MbeRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MbeRandomTest, ImbeaMatchesBruteForce) {

@@ -1,12 +1,13 @@
 /// Tests for the parallel execution layer: the worker pool, the shared
-/// stop-token / incumbent primitives, and — most importantly — that the
-/// parallel verifyMBB fan-out returns the same best balanced size as the
-/// sequential scan at every thread count.
+/// stop-token / incumbent primitives, that the verifyMBB fan-out returns
+/// the same best balanced size at every thread count as with one worker,
+/// and exact one-worker counters and witnesses of the sparse pipeline.
 
 #include "engine/parallel.h"
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -114,7 +115,7 @@ TEST(StopToken, FirstCauseWinsUnderConcurrency) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: parallel verify == sequential verify at every thread count.
+// Determinism: verify at T workers == verify at one worker.
 // ---------------------------------------------------------------------------
 
 std::uint32_t BridgeThenVerifyBestSize(const BipartiteGraph& g,
@@ -257,6 +258,93 @@ TEST(ParallelVerify, DeadlineSkipsAreAccountedAcrossWorkers) {
                 out.stats.subgraphs_pruned_degeneracy +
                 out.stats.subgraphs_searched + out.stats.subgraphs_skipped,
             bridge.survivors.size());
+}
+
+// ---------------------------------------------------------------------------
+// One-worker pins: exact counters and witnesses of the step-2/step-3 scans
+// at one thread. The values are recorded, not derived, so any drift in
+// one-worker pruning, scan order or reduction order shows up here, not
+// just a change of the optimum.
+// ---------------------------------------------------------------------------
+
+struct ScanPin {
+  std::uint64_t total;
+  std::uint64_t pruned_size;
+  std::uint64_t pruned_degeneracy;
+  std::uint64_t searched;
+  std::uint64_t skipped;
+  std::uint64_t recursions;
+  std::vector<VertexId> left;
+  std::vector<VertexId> right;
+};
+
+void ExpectPinned(const SearchStats& stats, const Biclique& best,
+                  const ScanPin& pin, const std::string& label) {
+  EXPECT_EQ(stats.subgraphs_total, pin.total) << label;
+  EXPECT_EQ(stats.subgraphs_pruned_size, pin.pruned_size) << label;
+  EXPECT_EQ(stats.subgraphs_pruned_degeneracy, pin.pruned_degeneracy)
+      << label;
+  EXPECT_EQ(stats.subgraphs_searched, pin.searched) << label;
+  EXPECT_EQ(stats.subgraphs_skipped, pin.skipped) << label;
+  EXPECT_EQ(stats.recursions, pin.recursions) << label;
+  EXPECT_EQ(best.left, pin.left) << label;
+  EXPECT_EQ(best.right, pin.right) << label;
+}
+
+TEST(OneWorkerPin, SparsePipelineCountersAndWitnesses) {
+  struct Case {
+    const char* algo;
+    bool deterministic;
+    std::uint32_t n;
+    double density;
+    std::uint64_t seed;
+    ScanPin pin;
+  };
+  const std::vector<VertexId> a_left = {50, 58, 37, 62};
+  const std::vector<VertexId> a_right = {1, 3, 24, 69};
+  const std::vector<VertexId> b_left = {34, 31, 42, 47, 55};
+  const std::vector<VertexId> b_right = {40, 1, 26, 18, 22};
+  const Case cases[] = {
+      {"hbv", false, 80, 0.25, 3, {160, 79, 12, 69, 0, 1249, a_left, a_right}},
+      {"bd2", false, 80, 0.25, 3, {160, 79, 0, 81, 0, 1261, a_left, a_right}},
+      {"hbv", true, 80, 0.25, 3, {160, 79, 12, 69, 0, 1249, a_left, a_right}},
+      {"hbv", false, 60, 0.3, 2, {120, 64, 41, 15, 0, 85, b_left, b_right}},
+      {"bd2", false, 60, 0.3, 2, {120, 64, 0, 56, 0, 126, b_left, b_right}},
+      // At one worker the deterministic scans prune against the live
+      // incumbent; frozen snapshots would move one centre from the size
+      // bucket to the degeneracy bucket here.
+      {"hbv", true, 60, 0.3, 2, {120, 64, 41, 15, 0, 85, b_left, b_right}},
+  };
+  for (const Case& c : cases) {
+    const BipartiteGraph g =
+        testing::RandomGraph(c.n, c.n, c.density, c.seed);
+    SolverOptions options;
+    options.num_threads = 1;
+    options.deterministic = c.deterministic;
+    const MbbResult result = SolverRegistry::Solve(c.algo, g, options);
+    const std::string label = std::string(c.algo) +
+                              (c.deterministic ? " det " : " ") +
+                              std::to_string(c.n);
+    EXPECT_TRUE(result.exact) << label;
+    ExpectPinned(result.stats, result.best, c.pin, label);
+  }
+}
+
+TEST(OneWorkerPin, RecursionCappedVerify) {
+  const BipartiteGraph g = testing::RandomGraph(80, 80, 0.25, 3);
+  BridgeOptions bridge_options;
+  bridge_options.use_local_heuristic = false;
+  const BridgeOutcome bridge = BridgeMbb(g, 0, bridge_options);
+  ASSERT_EQ(bridge.survivors.size(), 85u);
+  VerifyOptions options;
+  options.dense.limits.max_recursions = 30;
+  const VerifyOutcome out =
+      VerifyMbb(g, bridge.best_size, bridge.survivors, options);
+  EXPECT_FALSE(out.exact);
+  EXPECT_EQ(out.stats.stop_cause, StopCause::kRecursionCap);
+  EXPECT_EQ(out.best_size, 3u);
+  ExpectPinned(out.stats, out.best,
+               {0, 0, 0, 2, 83, 54, {2, 8, 77}, {47, 35, 72}}, "verify");
 }
 
 }  // namespace
