@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "graph/generators.h"
 #include "order/bicore_decomposition.h"
 #include "order/core_decomposition.h"
@@ -87,4 +86,4 @@ BENCHMARK(BM_CenteredStats);
 
 }  // namespace
 
-MBB_BENCHMARK_MAIN_WITH_JSON()
+BENCHMARK_MAIN();

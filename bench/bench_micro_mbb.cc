@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "baselines/ext_bbclq.h"
 #include "core/basic_bb.h"
 #include "core/dense_mbb.h"
@@ -145,4 +144,4 @@ BENCHMARK(BM_ExtBbclqSparse)->Arg(1024);
 
 }  // namespace
 
-MBB_BENCHMARK_MAIN_WITH_JSON()
+BENCHMARK_MAIN();

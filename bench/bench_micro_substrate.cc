@@ -1,15 +1,14 @@
 /// Substrate microbenchmarks: bit_ops kernels (scalar vs dispatched SIMD),
 /// BitMatrix arena locality, bitset ops, graph construction, dense
-/// subgraph extraction, generators. Results are appended to
-/// BENCH_micro.json (see bench_json.h); run once as-is and once with
-/// --force_scalar to record both dispatch paths.
+/// subgraph extraction, generators. Each kernel runs once pinned to the
+/// scalar backend and once through the dispatched one; set
+/// MBB_FORCE_SCALAR=1 to make the dispatched runs scalar too.
 
 #include <numeric>
 #include <random>
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "graph/bipartite_graph.h"
 #include "graph/bit_matrix.h"
 #include "graph/bit_ops.h"
@@ -44,7 +43,7 @@ struct KernelFixture {
 
 // ---------------------------------------------------------------------------
 // Kernel benchmarks. Each reports counters["words"] and labels the run
-// with the backend it pins, so the JSON lines carry (kernel, words,
+// with the backend it pins, so the console rows read (kernel, words,
 // ns/op, dispatch path). One templated body per kernel shape; the
 // BM_Kernel<Name> / BM_Kernel<Name>Scalar pairs differ only in the kernel
 // pointer and label they instantiate with.
@@ -354,4 +353,4 @@ BENCHMARK(BM_HasEdge);
 
 }  // namespace
 
-MBB_BENCHMARK_MAIN_WITH_JSON()
+BENCHMARK_MAIN();

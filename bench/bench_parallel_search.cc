@@ -7,10 +7,7 @@
 /// fan-out of bench_parallel_verify cannot touch: one search, no
 /// independent subgraphs, all parallelism from forked subtrees.
 ///
-/// Each run is appended to $MBB_BENCH_JSON (default BENCH_micro.json) as a
-/// JSON line, so speedup curves are tracked across PRs alongside the micro
-/// kernels. `--scale X` scales the side size, `--timeout SEC` bounds each
-/// run.
+/// `--scale X` scales the side size, `--timeout SEC` bounds each run.
 
 #include <cstdint>
 #include <iostream>
@@ -19,11 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json_lines.h"
 #include "core/dense_mbb.h"
 #include "eval/experiment.h"
 #include "eval/table_printer.h"
-#include "graph/bit_ops.h"
 #include "graph/dense_subgraph.h"
 #include "graph/generators.h"
 
@@ -56,7 +51,6 @@ int main(int argc, char** argv) {
             << timeout << "s, scale " << scale << ", hardware threads "
             << std::thread::hardware_concurrency() << ")\n\n";
 
-  std::vector<benchjson::Entry> entries;
   bool ok = true;
   for (const Instance& instance : kInstances) {
     const auto n = static_cast<std::uint32_t>(instance.n * scale);
@@ -102,21 +96,10 @@ int main(int argc, char** argv) {
                     std::to_string(out.stats.tasks_stolen),
                     std::to_string(out.stats.shared_bound_prunes),
                     out.exact ? "yes" : "no"});
-
-      benchjson::Entry entry;
-      std::ostringstream name;
-      name << "BM_ParallelDenseSearch/" << n << "x" << n << "d"
-           << static_cast<int>(instance.density * 100) << "/T" << threads;
-      entry.name = name.str();
-      entry.ns_per_op = seconds * 1e9;
-      entry.dispatch = bitops::ActiveDispatchName();
-      entries.push_back(std::move(entry));
     }
     table.Print(std::cout);
     std::cout << "\n";
   }
-
-  benchjson::WriteJsonLines(benchjson::JsonLinesPath(), argv[0], entries);
 
   std::cout << "Shape check: identical best at every thread count; speedup "
                "approaches the\nhardware thread count while spawned tasks "

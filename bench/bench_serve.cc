@@ -13,9 +13,9 @@
 /// checks it comes back inexact-with-cause promptly (the admission queue
 /// must not stall behind it).
 ///
-/// Each phase is appended to $MBB_BENCH_JSON (default BENCH_serve.json) as
-/// a JSON line whose extra members carry qps/p50_ms/p99_ms/hit_rate, so
-/// serving regressions are tracked across PRs like the micro kernels.
+/// The paced open-loop and mixed-traffic serve numbers of record come from
+/// the `serve` workload of `bench_record/run.py`; this binary is the quick
+/// closed-loop smoke with pass/fail gates.
 
 #include <algorithm>
 #include <atomic>
@@ -27,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json_lines.h"
 #include "eval/experiment.h"
 #include "eval/table_printer.h"
 #include "graph/generators.h"
@@ -68,7 +67,6 @@ struct PhaseResult {
   double p99_ms = 0;
   double hit_rate = 0;  // exact + isomorphic hits / queries
   std::uint64_t queries = 0;
-  double seconds = 0;
 };
 
 double Percentile(std::vector<double> sorted, double p) {
@@ -110,16 +108,14 @@ PhaseResult RunPhase(Server& server, const std::vector<BipartiteGraph>& pool,
   for (std::thread& client : clients) client.join();
 
   PhaseResult result;
-  result.seconds = timer.Seconds();
+  const double seconds = timer.Seconds();
   std::vector<double> all;
   for (const auto& per_client : latencies) {
     all.insert(all.end(), per_client.begin(), per_client.end());
   }
   std::sort(all.begin(), all.end());
   result.queries = all.size();
-  result.qps = result.seconds > 0
-                   ? static_cast<double>(all.size()) / result.seconds
-                   : 0;
+  result.qps = seconds > 0 ? static_cast<double>(all.size()) / seconds : 0;
   result.p50_ms = Percentile(all, 0.50);
   result.p99_ms = Percentile(all, 0.99);
   const serve::CacheStats after = server.CacheCounters();
@@ -166,7 +162,6 @@ int main(int argc, char** argv) {
 
   TablePrinter table(
       {"phase", "queries", "qps", "p50(ms)", "p99(ms)", "hit-rate"});
-  std::vector<benchjson::Entry> entries;
   PhaseResult cold;
   const std::pair<std::string, const std::vector<BipartiteGraph>*> phases[] =
       {{"cold", &pool}, {"warm", &pool}, {"iso", &relabelled}};
@@ -185,23 +180,6 @@ int main(int argc, char** argv) {
     rate << std::fixed << result.hit_rate;
     table.AddRow({phase, std::to_string(result.queries), qps.str(), p50.str(),
                   p99.str(), rate.str()});
-
-    benchjson::Entry entry;
-    entry.name = "BM_Serve/" + phase;
-    entry.ns_per_op =
-        result.queries > 0
-            ? result.seconds * 1e9 / static_cast<double>(result.queries)
-            : 0;
-    entry.dispatch = "serve";
-    std::ostringstream extra;
-    extra.precision(4);
-    extra << std::fixed << "\"qps\": " << result.qps
-          << ", \"p50_ms\": " << result.p50_ms
-          << ", \"p99_ms\": " << result.p99_ms
-          << ", \"hit_rate\": " << result.hit_rate
-          << ", \"clients\": " << kNumClients;
-    entry.extra = extra.str();
-    entries.push_back(std::move(entry));
   }
   table.Print(std::cout);
 
@@ -247,11 +225,6 @@ int main(int argc, char** argv) {
               << " < 0.99\n";
     ok = false;
   }
-
-  const char* env_path = std::getenv("MBB_BENCH_JSON");
-  benchjson::WriteJsonLines(env_path != nullptr ? env_path
-                                                : "BENCH_serve.json",
-                            argv[0], entries);
 
   server.Shutdown();
   std::cout << "\nShape check: warm-phase p50 well under cold (hits skip the "

@@ -12,22 +12,18 @@
 ///          Induce + ComputeCores path.
 ///
 /// All variants must produce identical survivor/edge counts; the bench
-/// fails on any mismatch. Per-variant ns/edge rows are appended to
-/// $MBB_BENCH_JSON (default BENCH_micro.json), and an end-to-end hbvMBB
-/// wall-clock headline (sparse_reduction on vs off) is appended to
-/// $MBB_BENCH_E2E_JSON (default BENCH_e2e.json).
+/// fails on any mismatch. An end-to-end hbvMBB wall-clock headline
+/// (sparse_reduction on vs off) closes the run.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_json_lines.h"
 #include "core/hbv_mbb.h"
 #include "eval/experiment.h"
 #include "eval/table_printer.h"
@@ -40,11 +36,6 @@
 namespace {
 
 using namespace mbb;
-
-std::string E2eJsonPath() {
-  const char* path = std::getenv("MBB_BENCH_E2E_JSON");
-  return path != nullptr ? path : "BENCH_e2e.json";
-}
 
 /// Outcome of one reduction variant: survivors + live edges (for the
 /// cross-variant identity check) and the measured wall time.
@@ -322,19 +313,7 @@ int main(int argc, char** argv) {
             << ", density " << g.Density() << "), timeout " << timeout
             << "s\n\n";
 
-  std::vector<benchjson::Entry> entries;
   bool ok = true;
-  const auto record = [&](const std::string& stage,
-                          const std::string& variant, const ReduceRun& run,
-                          std::uint64_t edges_touched) {
-    benchjson::Entry entry;
-    entry.name = "BM_SparseReduce/" + stage + "/" + variant;
-    entry.ns_per_op =
-        run.seconds * 1e9 / static_cast<double>(std::max<std::uint64_t>(
-                                edges_touched, 1));
-    entry.dispatch = bitops::ActiveDispatchName();
-    entries.push_back(std::move(entry));
-  };
 
   // ---- Step 1: whole-graph (k+1)-core reduction. --------------------------
   const ReduceRun s1_csr = Step1Csr(g, k);
@@ -357,7 +336,6 @@ int main(int argc, char** argv) {
     ns << std::fixed << run.seconds * 1e9 / static_cast<double>(g.num_edges());
     step1.AddRow({variant, ns.str(), FormatSeconds(run.seconds, false),
                   std::to_string(run.vertices), std::to_string(run.edges)});
-    record("step1", variant, run, g.num_edges());
   };
   std::cout << "step 1: (k+1)-core reduce, k=" << k << "\n";
   step1_row("csr", s1_csr);
@@ -451,9 +429,6 @@ int main(int argc, char** argv) {
     step2.AddRow({variant, ns.str(), FormatSeconds(run.seconds, false),
                   std::to_string(run.totals.core_vertices),
                   std::to_string(run.totals.core_edges)});
-    ReduceRun as_reduce;
-    as_reduce.seconds = run.seconds;
-    record("step2", variant, as_reduce, s2_edges);
   };
   std::cout << "step 2/verify: per-subgraph " << core_k
             << "-core reduction over " << order.order.size()
@@ -465,7 +440,6 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   // ---- End-to-end headline: hbvMBB with the knob on vs off. ---------------
-  std::vector<benchjson::Entry> e2e;
   TablePrinter headline({"sparse_reduction", "best", "time(s)", "exact"});
   std::uint32_t best[2] = {0, 0};
   for (const bool sparse : {true, false}) {
@@ -480,18 +454,6 @@ int main(int argc, char** argv) {
                      std::to_string(result.best.BalancedSize()),
                      FormatSeconds(seconds, !result.exact),
                      result.exact ? "yes" : "no"});
-    benchjson::Entry entry;
-    std::ostringstream name;
-    name << "E2E_HbvSparseReduction/chunglu" << n << "x" << n << "/"
-         << (sparse ? "on" : "off");
-    entry.name = name.str();
-    entry.ns_per_op = seconds * 1e9;
-    entry.dispatch = bitops::ActiveDispatchName();
-    std::ostringstream extra;
-    extra << "\"best\": " << result.best.BalancedSize()
-          << ", \"exact\": " << (result.exact ? "true" : "false");
-    entry.extra = extra.str();
-    e2e.push_back(std::move(entry));
   }
   if (best[0] != best[1]) {
     std::cerr << "MISMATCH: e2e best diverged (sparse " << best[0]
@@ -500,9 +462,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "end-to-end hbvMBB\n";
   headline.Print(std::cout);
-
-  benchjson::WriteJsonLines(benchjson::JsonLinesPath(), argv[0], entries);
-  benchjson::WriteJsonLines(E2eJsonPath(), argv[0], e2e);
 
   std::cout << "\nShape check: identical survivor/edge counts on every "
                "variant; csr beats\ndense-rows by >=2x ns/edge on both "

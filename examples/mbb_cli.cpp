@@ -12,7 +12,9 @@
 /// maximum *vertex* biclique relaxation, which solves a different
 /// objective and is kept as a CLI special case.
 
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "engine/degrade.h"
@@ -44,10 +46,7 @@ void Usage() {
       "                              verification); default 1, auto = all\n"
       "                              hardware threads\n"
       "  --spawn-depth N             fork cutoff of the work-stealing\n"
-      "                              subtree layer (default 0 = auto)\n"
-      "  --dispatch auto|scalar      bitset kernel backend: auto (default;\n"
-      "                              AVX2 when the build + CPU allow it)\n"
-      "                              or scalar\n"
+      "                              subtree layer, 0..20 (default 0 = auto)\n"
       "  --deterministic             thread-count-invariant parallel mode:\n"
       "                              identical result at any --threads\n"
       "  --sparse-reduction on|off   run the hbv-family reduction phases\n"
@@ -67,6 +66,10 @@ void Usage() {
       "  --list                      list dataset names and exit\n"
       "  --list-algos                list registered solvers and exit\n";
 }
+
+constexpr std::uint32_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+/// Deeper than the auto cutoff (at most 10) already forks ~1M tasks.
+constexpr std::uint32_t kMaxSpawnDepth = 20;
 
 /// Old CLI spellings that predate the registry keys.
 std::string CanonicalAlgoName(std::string name) {
@@ -140,69 +143,52 @@ int main(int argc, char** argv) {
       missing_value = true;
       return {};
     };
+    // Stores `value` in `out` if all of it parses as a number in [lo, hi];
+    // otherwise ParseFlagNumber names the flag and the run exits 1.
+    const auto parse = [&arg](auto& out, std::string_view value, auto lo,
+                              auto hi) {
+      const auto parsed = ParseFlagNumber(arg, value, lo, hi);
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
     if (arg == "--input") {
       input_file = next_value();
     } else if (arg == "--random" && i + 4 < argc) {
       random = true;
-      nl = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-      nr = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-      density = std::stod(argv[++i]);
-      seed = std::stoull(argv[++i]);
+      if (!parse(nl, argv[++i], std::uint32_t{0}, kMaxU32) ||
+          !parse(nr, argv[++i], std::uint32_t{0}, kMaxU32) ||
+          !parse(density, argv[++i], 0.0, 1.0) ||
+          !parse(seed, argv[++i], std::uint64_t{0},
+                 std::numeric_limits<std::uint64_t>::max())) {
+        return 1;
+      }
     } else if (arg == "--dataset") {
       dataset = next_value();
     } else if (arg == "--scale") {
       const std::string value = next_value();
-      if (!missing_value) scale = std::stod(value);
+      if (!missing_value && !parse(scale, value, 1e-6, 1e3)) return 1;
     } else if (arg == "--algo" || arg == "--algorithm") {
       algorithm = CanonicalAlgoName(next_value());
     } else if (arg == "--timeout") {
       const std::string value = next_value();
-      if (!missing_value) timeout = std::stod(value);
+      if (!missing_value && !parse(timeout, value, 0.0, 1e9)) return 1;
     } else if (arg == "--threads") {
       const std::string value = next_value();
-      if (!missing_value) {
-        if (value == "auto") {
-          threads = 0;  // SolverOptions: 0 = one per hardware thread
-        } else {
-          // "0" and negative counts have bitten users before: 0 silently
-          // meant "all cores" and a negative wrapped through stoul into
-          // billions of workers. Ask for "auto" explicitly instead.
-          long parsed = 0;
-          try {
-            parsed = std::stol(value);
-          } catch (const std::exception&) {
-            std::cerr << "--threads expects a positive integer or 'auto', "
-                         "got '" << value << "'\n";
-            return 1;
-          }
-          if (parsed <= 0) {
-            std::cerr << "--threads must be >= 1 (got " << value
-                      << "); use --threads=auto for one per hardware "
-                         "thread\n";
-            return 1;
-          }
-          threads = static_cast<std::uint32_t>(parsed);
-        }
+      if (value == "auto") {
+        threads = 0;  // SolverOptions: 0 = one per hardware thread
+      } else if (!missing_value &&
+                 !parse(threads, value, std::uint32_t{1}, kMaxU32)) {
+        // 0 is rejected rather than read as "all cores": ask for "auto".
+        return 1;
       }
     } else if (arg == "--memory-budget-mb") {
+      // At least 1 MiB (omit the flag for no budget), and small enough
+      // that the byte count does not overflow.
       const std::string value = next_value();
-      if (!missing_value) {
-        // Same guard rails as --threads: reject junk and non-positive
-        // sizes instead of letting stol wrap them into surprises.
-        long parsed = 0;
-        try {
-          parsed = std::stol(value);
-        } catch (const std::exception&) {
-          std::cerr << "--memory-budget-mb expects a positive integer, got '"
-                    << value << "'\n";
-          return 1;
-        }
-        if (parsed <= 0) {
-          std::cerr << "--memory-budget-mb must be >= 1 (got " << value
-                    << "); omit the flag for an unlimited budget\n";
-          return 1;
-        }
-        memory_budget_mb = static_cast<std::uint64_t>(parsed);
+      if (!missing_value &&
+          !parse(memory_budget_mb, value, std::uint64_t{1},
+                 std::numeric_limits<std::uint64_t>::max() >> 20)) {
+        return 1;
       }
     } else if (arg == "--fault-spec") {
       const std::string value = next_value();
@@ -214,23 +200,11 @@ int main(int argc, char** argv) {
         }
         fault_spec = value;
       }
-    } else if (arg == "--dispatch") {
-      const std::string value = next_value();
-      if (!missing_value) {
-        if (value == "auto") {
-          bitops::SetDispatchPolicy(bitops::DispatchPolicy::kAuto);
-        } else if (value == "scalar") {
-          bitops::SetDispatchPolicy(bitops::DispatchPolicy::kForceScalar);
-        } else {
-          std::cerr << "--dispatch expects auto or scalar, got '" << value
-                    << "'\n";
-          return 1;
-        }
-      }
     } else if (arg == "--spawn-depth") {
       const std::string value = next_value();
-      if (!missing_value) {
-        spawn_depth = static_cast<std::uint32_t>(std::stoul(value));
+      if (!missing_value &&
+          !parse(spawn_depth, value, std::uint32_t{0}, kMaxSpawnDepth)) {
+        return 1;
       }
     } else if (arg == "--deterministic") {
       deterministic = true;

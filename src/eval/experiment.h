@@ -3,7 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -36,22 +36,27 @@ struct TimedRun {
   bool timed_out = false;
 };
 
-/// Runs `solver` (which receives the deadline as `SearchLimits`) and
-/// captures wall time + timeout state.
-TimedRun RunWithTimeout(double timeout_seconds,
-                        const std::function<MbbResult(SearchLimits)>& solver);
-
-/// Registry-based variant: runs the `SolverRegistry` entry `name` on `g`
-/// under `timeout_seconds` and captures wall time + timeout state. Extra
+/// Runs the `SolverRegistry` entry `name` on `g` under
+/// `timeout_seconds` and captures wall time + timeout state. Extra
 /// per-algorithm knobs ride in `options` (its `time_limit_seconds` is
 /// overwritten). This is the dispatch the eval tables and the CLI share;
 /// throws std::out_of_range for an unknown name.
 TimedRun RunSolver(std::string_view name, const BipartiteGraph& g,
                    double timeout_seconds, SolverOptions options = {});
 
+/// Parses all of `value`, the argument of command-line flag `flag`, as a T
+/// in [lo, hi]. Junk, trailing characters, a sign on an unsigned T, and
+/// non-finite or out-of-range values print a message naming `flag` to
+/// stderr and return nullopt. Defined for double, std::uint32_t and
+/// std::uint64_t.
+template <typename T>
+std::optional<T> ParseFlagNumber(std::string_view flag, std::string_view value,
+                                 T lo, T hi);
+
 /// Shared command-line handling for the bench binaries: `--full` switches
 /// to paper-scale inputs, `--timeout SEC` adjusts the per-run deadline,
-/// `--scale X` overrides the dataset scale factor.
+/// `--scale X` overrides the dataset scale factor. A missing or malformed
+/// value prints a message and exits 1; other arguments are ignored.
 struct BenchConfig {
   bool full = false;
   double timeout_seconds = 60.0;

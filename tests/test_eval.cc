@@ -46,28 +46,6 @@ TEST(WallTimer, MeasuresElapsed) {
   EXPECT_LT(timer.Seconds(), 0.009);
 }
 
-TEST(RunWithTimeout, CapturesResultAndTime) {
-  const TimedRun run = RunWithTimeout(10.0, [](SearchLimits limits) {
-    EXPECT_TRUE(limits.has_deadline);
-    MbbResult result;
-    result.best.left = {0};
-    result.best.right = {0};
-    return result;
-  });
-  EXPECT_FALSE(run.timed_out);
-  EXPECT_EQ(run.result.best.BalancedSize(), 1u);
-  EXPECT_GE(run.seconds, 0.0);
-}
-
-TEST(RunWithTimeout, ReportsTimeout) {
-  const TimedRun run = RunWithTimeout(0.001, [](SearchLimits) {
-    MbbResult result;
-    result.exact = false;
-    return result;
-  });
-  EXPECT_TRUE(run.timed_out);
-}
-
 TEST(ParseBenchArgs, Defaults) {
   const BenchConfig config = ParseBenchArgs(1, nullptr);
   EXPECT_FALSE(config.full);
@@ -88,6 +66,32 @@ TEST(ParseBenchArgs, FullImpliesScaleOne) {
   const char* argv[] = {"bench", "--full"};
   const BenchConfig config = ParseBenchArgs(2, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(config.EffectiveScale(0.1), 1.0);
+}
+
+TEST(ParseBenchArgs, RejectsMalformedAndMissingValues) {
+  const char* junk_timeout[] = {"bench", "--timeout", "junk"};
+  EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(junk_timeout)),
+              ::testing::ExitedWithCode(1), "--timeout expects");
+  const char* junk_scale[] = {"bench", "--scale", "0.5x"};
+  EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(junk_scale)),
+              ::testing::ExitedWithCode(1), "--scale expects");
+  const char* trailing[] = {"bench", "--full", "--timeout"};
+  EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(trailing)),
+              ::testing::ExitedWithCode(1), "missing value for --timeout");
+}
+
+TEST(ParseFlagNumber, AcceptsOnlyWholeInRangeValues) {
+  EXPECT_EQ(ParseFlagNumber<double>("--timeout", "2.5", 0.0, 1e9).value_or(0),
+            2.5);
+  EXPECT_EQ(
+      ParseFlagNumber<std::uint32_t>("--spawn-depth", "4", 0, 20).value_or(0),
+      4u);
+  EXPECT_FALSE(ParseFlagNumber<std::uint32_t>("--spawn-depth", "-1", 0, 20));
+  EXPECT_FALSE(ParseFlagNumber<std::uint32_t>("--spawn-depth", "21", 0, 20));
+  EXPECT_FALSE(ParseFlagNumber<std::uint32_t>("--threads", "4x", 1, 64));
+  EXPECT_FALSE(ParseFlagNumber<double>("--scale", "", 1e-6, 1e3));
+  EXPECT_FALSE(ParseFlagNumber<double>("--scale", "nan", 1e-6, 1e3));
+  EXPECT_FALSE(ParseFlagNumber<double>("--timeout", "inf", 0.0, 1e9));
 }
 
 }  // namespace
