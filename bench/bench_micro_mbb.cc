@@ -93,13 +93,13 @@ void BM_DynamicMbbPolySolver(benchmark::State& state) {
   }
   const BipartiteGraph g = BipartiteGraph::FromEdges(n, n, edges);
   const DenseSubgraph s = WholeDense(g);
-  Bitset ca(n);
-  ca.SetAll();
-  Bitset cb(n);
-  cb.SetAll();
+  BitMatrix candidates(2, n);
+  candidates.Row(0).SetAll();
+  candidates.Row(1).SetAll();
   for (auto _ : state) {
     bool poly = false;
-    DynamicMbbOutcome outcome = TryDynamicMbb(s, {}, {}, ca, cb, 0, &poly);
+    DynamicMbbOutcome outcome = TryDynamicMbb(
+        s, {}, {}, candidates.Row(0), candidates.Row(1), 0, &poly);
     benchmark::DoNotOptimize(outcome);
   }
 }

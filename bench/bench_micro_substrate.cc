@@ -1,5 +1,5 @@
 /// Substrate microbenchmarks: bit_ops kernels (scalar vs dispatched SIMD),
-/// BitMatrix arena locality, bitset ops, graph construction, dense
+/// BitMatrix arena locality, graph construction, dense
 /// subgraph extraction, generators. Each kernel runs once pinned to the
 /// scalar backend and once through the dispatched one; set
 /// MBB_FORCE_SCALAR=1 to make the dispatched runs scalar too.
@@ -12,7 +12,6 @@
 #include "graph/bipartite_graph.h"
 #include "graph/bit_matrix.h"
 #include "graph/bit_ops.h"
-#include "graph/bitset.h"
 #include "graph/dense_subgraph.h"
 #include "graph/generators.h"
 
@@ -137,9 +136,18 @@ BENCHMARK(BM_KernelAndInto)->Arg(256)->Arg(2048);
 
 // ---------------------------------------------------------------------------
 // Arena locality: sweeping CountAnd over all rows of a BitMatrix
-// (contiguous, fixed stride) vs a std::vector<Bitset> (per-row heap
-// allocations). Same bit content, same kernels — the gap is layout.
+// (contiguous, fixed stride) vs per-row heap-allocated word vectors. Same
+// bit content, same kernels — the gap is layout.
 // ---------------------------------------------------------------------------
+
+/// The every-other-bit mask each row sweep intersects with, as a 1-row
+/// arena.
+BitMatrix SweepMask(std::size_t bits) {
+  BitMatrix mask(1, bits);
+  BitRow row = mask.Row(0);
+  for (std::size_t i = 0; i < bits; i += 2) row.Set(i);
+  return mask;
+}
 
 void BM_RowSweepBitMatrix(benchmark::State& state) {
   const std::size_t rows = 256;
@@ -150,12 +158,11 @@ void BM_RowSweepBitMatrix(benchmark::State& state) {
     BitRow row = m.Row(r);
     for (std::size_t i = 0; i < bits; i += 1 + rng() % 4) row.Set(i);
   }
-  Bitset mask(bits);
-  for (std::size_t i = 0; i < bits; i += 2) mask.Set(i);
+  const BitMatrix mask = SweepMask(bits);
   for (auto _ : state) {
     std::size_t total = 0;
     for (std::size_t r = 0; r < rows; ++r) {
-      total += m.Row(r).CountAnd(mask);
+      total += m.Row(r).CountAnd(mask.Row(0));
     }
     benchmark::DoNotOptimize(total);
   }
@@ -187,14 +194,13 @@ void BM_RowSweepBitMatrixPrefetch(benchmark::State& state) {
     BitRow row = m.Row(r);
     for (std::size_t i = 0; i < bits; i += 1 + rng() % 4) row.Set(i);
   }
-  Bitset mask(bits);
-  for (std::size_t i = 0; i < bits; i += 2) mask.Set(i);
+  const BitMatrix mask = SweepMask(bits);
   const BitMatrix& cm = m;
   for (auto _ : state) {
     std::size_t total = 0;
     for (std::size_t r = 0; r < rows; ++r) {
       if (r + 1 < rows) cm.Row(r + 1).Prefetch();
-      total += cm.Row(r).CountAnd(mask);
+      total += cm.Row(r).CountAnd(mask.Row(0));
     }
     benchmark::DoNotOptimize(total);
   }
@@ -217,23 +223,24 @@ void BM_RowSweepScatteredBitsets(benchmark::State& state) {
   // random size, so the rows genuinely scatter across the heap instead of
   // landing back-to-back (which would replicate the arena layout and void
   // the comparison).
-  std::vector<Bitset> m;
+  std::vector<std::vector<std::uint64_t>> m;
   std::vector<std::vector<std::uint64_t>> padding;
   m.reserve(rows);
   padding.reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    m.emplace_back(bits);
+    m.emplace_back(BitWords(bits), 0);
     padding.emplace_back(1 + rng() % 64, r);
   }
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t i = 0; i < bits; i += 1 + rng() % 4) m[r].Set(i);
+    for (std::size_t i = 0; i < bits; i += 1 + rng() % 4) {
+      m[r][i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
   }
-  Bitset mask(bits);
-  for (std::size_t i = 0; i < bits; i += 2) mask.Set(i);
+  const BitMatrix mask = SweepMask(bits);
   for (auto _ : state) {
     std::size_t total = 0;
     for (std::size_t r = 0; r < rows; ++r) {
-      total += m[r].CountAnd(mask);
+      total += BitSpan(m[r].data(), bits).CountAnd(mask.Row(0));
     }
     benchmark::DoNotOptimize(total);
   }
@@ -251,46 +258,6 @@ BENCHMARK(BM_RowSweepScatteredBitsets)
 // ---------------------------------------------------------------------------
 // Pre-existing substrate benchmarks.
 // ---------------------------------------------------------------------------
-
-void BM_BitsetAnd(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Bitset a(n);
-  Bitset b(n);
-  for (std::size_t i = 0; i < n; i += 3) a.Set(i);
-  for (std::size_t i = 0; i < n; i += 5) b.Set(i);
-  for (auto _ : state) {
-    Bitset c = a;
-    c &= b;
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BitsetAnd)->Arg(256)->Arg(2048)->Arg(16384);
-
-void BM_BitsetCountAnd(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Bitset a(n);
-  Bitset b(n);
-  for (std::size_t i = 0; i < n; i += 2) a.Set(i);
-  for (std::size_t i = 0; i < n; i += 7) b.Set(i);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.CountAnd(b));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BitsetCountAnd)->Arg(256)->Arg(2048)->Arg(16384);
-
-void BM_BitsetIterate(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Bitset a(n);
-  for (std::size_t i = 0; i < n; i += 4) a.Set(i);
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    a.ForEach([&sum](std::size_t i) { sum += i; });
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_BitsetIterate)->Arg(2048)->Arg(16384);
 
 void BM_GraphFromEdges(benchmark::State& state) {
   const std::uint32_t n = static_cast<std::uint32_t>(state.range(0));

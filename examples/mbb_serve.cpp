@@ -10,11 +10,13 @@
 /// The transports share one serving core, so the admission queue, the
 /// worker pool, and the result cache span every client.
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "engine/faults.h"
+#include "eval/experiment.h"
 #include "serve/net.h"
 #include "serve/server.h"
 
@@ -29,8 +31,9 @@ void Usage() {
       "                              the bound port is printed)\n"
       "  --unix PATH                 Unix-domain socket listener\n"
       "options:\n"
-      "  --workers N                 solver worker threads (default 2,\n"
-      "                              0 = one per hardware thread)\n"
+      "  --workers N                 solver worker threads, 0..1024\n"
+      "                              (default 2, 0 = one per hardware\n"
+      "                              thread)\n"
       "  --queue N                   admission-queue capacity (default 256)\n"
       "  --cache N                   result-cache entries (default 128,\n"
       "                              0 disables caching)\n"
@@ -38,6 +41,7 @@ void Usage() {
       "                              0 = unlimited)\n"
       "  --starvation-ms MS          SJF starvation bound (default 500)\n"
       "  --threads N                 default solver threads per query\n"
+      "                              (0..1024)\n"
       "  --memory-budget-mb N        default per-solve arena budget in MiB\n"
       "                              (default 0 = unlimited; requests may\n"
       "                              override with 'budget_mb')\n"
@@ -50,20 +54,20 @@ void Usage() {
       "                              layer (see docs/ARCHITECTURE.md)\n";
 }
 
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using mbb::serve::Server;
   using mbb::serve::ServerOptions;
   using mbb::serve::SocketFrontEnd;
+  using mbb::serve::kMaxThreads;
+
+  // Flag bounds: the protocol's caps on `threads` and `deadline_ms`
+  // (larger deadlines overflow the clock arithmetic), and no cap on the
+  // queue and cache capacities beyond their type.
+  constexpr auto kMaxMs =
+      static_cast<std::uint64_t>(mbb::serve::kMaxDeadlineMs);
+  constexpr std::uint64_t kAnyCount = ~std::uint64_t{0};
 
   ServerOptions options;
   bool use_stdio = false;
@@ -74,35 +78,43 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_uint = [&](std::uint64_t* out) {
-      return i + 1 < argc && ParseUint(argv[++i], out);
-    };
+    // Reads the next argument into `value` if it is an integer in
+    // [lo, hi]; a bad value is reported by name and then takes the usage
+    // exit below.
     std::uint64_t value = 0;
+    auto next_number = [&](std::uint64_t lo, std::uint64_t hi) {
+      if (i + 1 >= argc) return false;
+      const std::optional<std::uint64_t> parsed =
+          mbb::ParseFlagNumber(arg, argv[++i], lo, hi);
+      value = parsed.value_or(0);
+      return parsed.has_value();
+    };
     if (arg == "--stdio") {
       use_stdio = true;
-    } else if (arg == "--tcp" && next_uint(&value) && value <= 65535) {
+    } else if (arg == "--tcp" && next_number(0, 65535)) {
       use_tcp = true;
       tcp_port = value;
     } else if (arg == "--unix" && i + 1 < argc) {
       use_unix = true;
       unix_path = argv[++i];
-    } else if (arg == "--workers" && next_uint(&value)) {
+    } else if (arg == "--workers" && next_number(0, kMaxThreads)) {
       options.num_workers = static_cast<std::uint32_t>(value);
-    } else if (arg == "--queue" && next_uint(&value) && value > 0) {
+    } else if (arg == "--queue" && next_number(1, kAnyCount)) {
       options.queue_capacity = value;
-    } else if (arg == "--cache" && next_uint(&value)) {
+    } else if (arg == "--cache" && next_number(0, kAnyCount)) {
       options.cache_capacity = value;
-    } else if (arg == "--deadline-ms" && next_uint(&value)) {
+    } else if (arg == "--deadline-ms" && next_number(0, kMaxMs)) {
       options.default_deadline_ms = static_cast<double>(value);
-    } else if (arg == "--starvation-ms" && next_uint(&value)) {
+    } else if (arg == "--starvation-ms" && next_number(0, kMaxMs)) {
       options.starvation_ms = static_cast<double>(value);
-    } else if (arg == "--threads" && next_uint(&value)) {
+    } else if (arg == "--threads" && next_number(0, kMaxThreads)) {
       options.default_threads = static_cast<std::uint32_t>(value);
-    } else if (arg == "--memory-budget-mb" && next_uint(&value)) {
+    } else if (arg == "--memory-budget-mb" &&
+               next_number(0, (std::uint64_t{1} << 44) - 1)) {
       options.memory_budget_bytes = value << 20;
-    } else if (arg == "--watchdog-stall-ms" && next_uint(&value)) {
+    } else if (arg == "--watchdog-stall-ms" && next_number(0, kMaxMs)) {
       options.watchdog_stall_ms = static_cast<double>(value);
-    } else if (arg == "--watchdog-poll-ms" && next_uint(&value) && value > 0) {
+    } else if (arg == "--watchdog-poll-ms" && next_number(1, kMaxMs)) {
       options.watchdog_poll_ms = static_cast<double>(value);
     } else if (arg == "--fault-spec" && i + 1 < argc) {
       std::string spec_error;

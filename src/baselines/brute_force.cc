@@ -4,7 +4,7 @@
 #include <cassert>
 #include <vector>
 
-#include "graph/bitset.h"
+#include "graph/bit_matrix.h"
 
 namespace mbb {
 
@@ -13,30 +13,32 @@ namespace {
 /// Plain include/exclude recursion over the small side, no pruning beyond
 /// the empty-common cut — deliberately structured differently from the
 /// library's branch-and-bound searchers so it can serve as an independent
-/// oracle in tests.
+/// oracle in tests. `rows` holds one adjacency row per small-side vertex;
+/// `common_` row `d` holds the common neighbourhood of the first `d`
+/// chosen vertices (row 0 is the whole large side).
 class BruteEnumerator {
  public:
-  BruteEnumerator(const std::vector<Bitset>& rows, std::uint32_t large_n)
-      : rows_(rows), large_n_(large_n) {}
+  explicit BruteEnumerator(const BitMatrix& rows)
+      : rows_(rows), common_(rows.rows() + 1, rows.bits_per_row()) {}
 
   void Run() {
-    Bitset all(large_n_, true);
+    common_.Row(0).SetAll();
     std::vector<VertexId> chosen;
-    Dfs(0, chosen, all);
+    Dfs(0, chosen);
   }
 
   std::uint32_t best_size() const { return best_size_; }
   const std::vector<VertexId>& best_small() const { return best_small_; }
-  const Bitset& best_common() const { return best_common_; }
+  const std::vector<VertexId>& best_large() const { return best_large_; }
 
  private:
-  void Dfs(std::uint32_t level, std::vector<VertexId>& chosen,
-           const Bitset& common) {
-    if (level == rows_.size()) return;
+  void Dfs(std::uint32_t level, std::vector<VertexId>& chosen) {
+    if (level == rows_.rows()) return;
     // Exclude rows_[level].
-    Dfs(level + 1, chosen, common);
+    Dfs(level + 1, chosen);
     // Include rows_[level].
-    Bitset next = common & rows_[level];
+    BitRow next = common_.Row(chosen.size() + 1);
+    next.AssignAnd(common_.Row(chosen.size()), rows_.Row(level));
     if (next.None()) return;  // no further inclusion can help
     chosen.push_back(static_cast<VertexId>(level));
     const std::uint32_t size = std::min(
@@ -45,17 +47,17 @@ class BruteEnumerator {
     if (size > best_size_) {
       best_size_ = size;
       best_small_ = chosen;
-      best_common_ = next;
+      best_large_ = next.ToVector();
     }
-    Dfs(level + 1, chosen, next);
+    Dfs(level + 1, chosen);
     chosen.pop_back();
   }
 
-  const std::vector<Bitset>& rows_;
-  std::uint32_t large_n_;
+  const BitMatrix& rows_;
+  BitMatrix common_;
   std::uint32_t best_size_ = 0;
   std::vector<VertexId> best_small_;
-  Bitset best_common_;
+  std::vector<VertexId> best_large_;
 };
 
 }  // namespace
@@ -68,19 +70,18 @@ Biclique BruteForceMbb(const BipartiteGraph& g) {
   if (small_n == 0 || large_n == 0 || g.num_edges() == 0) return {};
 
   const Side small_side = left_small ? Side::kLeft : Side::kRight;
-  std::vector<Bitset> rows(small_n, Bitset(large_n));
+  BitMatrix rows(small_n, large_n);
   for (VertexId v = 0; v < small_n; ++v) {
-    for (const VertexId w : g.Neighbors(small_side, v)) {
-      rows[v].Set(w);
-    }
+    BitRow row = rows.Row(v);
+    for (const VertexId w : g.Neighbors(small_side, v)) row.Set(w);
   }
 
-  BruteEnumerator enumerator(rows, large_n);
+  BruteEnumerator enumerator(rows);
   enumerator.Run();
   Biclique out;
   if (enumerator.best_size() == 0) return out;
   std::vector<VertexId> small_set = enumerator.best_small();
-  std::vector<VertexId> large_set = enumerator.best_common().ToVector();
+  std::vector<VertexId> large_set = enumerator.best_large();
   if (left_small) {
     out.left = std::move(small_set);
     out.right = std::move(large_set);

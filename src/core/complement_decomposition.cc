@@ -170,10 +170,10 @@ ComplementDecomposition DecomposeComplement(const DenseSubgraph& g,
     right_index[right[j]] = static_cast<std::int32_t>(j);
   }
 
-  // One pooled difference bitset for the whole scan; the fused and-not
-  // kernel replaces the copy-then-clear two-pass (and its per-vertex heap
-  // allocation) the loop used to do.
-  Bitset missing;
+  // One difference row for the whole scan (a local 1-row arena), filled
+  // by the fused and-not kernel — no per-vertex allocation.
+  BitMatrix scratch(1, cb.size());
+  BitRow missing = scratch.Row(0);
   for (std::size_t i = 0; i < left.size(); ++i) {
     missing.AssignAndNot(cb, g.LeftRow(left[i]));
     const std::size_t miss_count = missing.Count();

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/bitset.h"
 #include "graph/dense_subgraph.h"
 
 namespace mbb {
@@ -46,7 +45,7 @@ struct ComplementDecomposition {
 
 /// Builds the complement decomposition of the subgraph of `g` induced by
 /// candidate sets `ca` (left-local) x `cb` (right-local), given as bitset
-/// views (a `Bitset`, `BitRow`, or `BitMatrix` row all convert).
+/// views (a `BitRow` or a `BitMatrix` row both convert).
 ComplementDecomposition DecomposeComplement(const DenseSubgraph& g,
                                             BitSpan ca, BitSpan cb);
 

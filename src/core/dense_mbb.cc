@@ -9,7 +9,7 @@
 #include "core/dynamic_mbb.h"
 #include "engine/parallel.h"
 #include "engine/search_context.h"
-#include "graph/bitset.h"
+#include "graph/bit_matrix.h"
 
 namespace mbb {
 
@@ -20,11 +20,28 @@ namespace {
 /// alias its spawner's pooled frames), and the spawner's incumbent at fork
 /// time. `path` identifies the subtree's position in the task tree: the
 /// spawner's path plus this fork's per-spawner ordinal.
+///
+/// The copies live in one 2-row arena per task, `sets`, which `ca`/`cb`
+/// view. Moving a task keeps the views valid (the arena's words do not
+/// move); copying would not, so the task is move-only.
 struct SubtreeTask {
+  SubtreeTask() = default;
+  SubtreeTask(SubtreeTask&&) = default;
+  SubtreeTask& operator=(SubtreeTask&&) = default;
+
+  /// Allocates `sets` for candidate sides of up to `max_bits` bits and
+  /// points `ca`/`cb` at its rows, empty until the caller fills them.
+  void AllocateSets(std::size_t max_bits) {
+    sets = BitMatrix(2, max_bits);
+    ca = sets.EmptyRow(0);
+    cb = sets.EmptyRow(1);
+  }
+
   std::vector<VertexId> a;
   std::vector<VertexId> b;
-  Bitset ca;
-  Bitset cb;
+  BitMatrix sets;
+  BitRow ca;
+  BitRow cb;
   std::uint32_t ca_count = 0;
   std::uint32_t cb_count = 0;
   std::uint32_t depth = 0;
@@ -417,22 +434,21 @@ class DenseMbbSearcher {
     task.bound_snapshot = best_size_;
     task.path = path_;
     task.path.push_back(spawn_ordinal_++);
+    task.AllocateSets(std::max(g_.num_left(), g_.num_right()));
     if (branch_side == Side::kLeft) {
       task.a.push_back(branch_vertex);
-      task.ca = Bitset(ca.Span());
+      task.ca.CopyFrom(ca);
       task.ca.Reset(branch_vertex);
       task.ca_count = ca_count - 1;
-      task.cb = Bitset(cb.Span());
       task.cb_count = static_cast<std::uint32_t>(
-          task.cb.Row().AndCountAssign(g_.LeftRow(branch_vertex)));
+          task.cb.AssignAndCount(cb, g_.LeftRow(branch_vertex)));
     } else {
       task.b.push_back(branch_vertex);
-      task.cb = Bitset(cb.Span());
+      task.cb.CopyFrom(cb);
       task.cb.Reset(branch_vertex);
       task.cb_count = cb_count - 1;
-      task.ca = Bitset(ca.Span());
       task.ca_count = static_cast<std::uint32_t>(
-          task.ca.Row().AndCountAssign(g_.RightRow(branch_vertex)));
+          task.ca.AssignAndCount(ca, g_.RightRow(branch_vertex)));
     }
     sink_->Fork(std::move(task));
   }
@@ -452,8 +468,9 @@ class DenseMbbSearcher {
     task.bound_snapshot = best_size_;
     task.path = path_;
     task.path.push_back(spawn_ordinal_++);
-    task.ca = Bitset(ca.Span());
-    task.cb = Bitset(cb.Span());
+    task.AllocateSets(std::max(g_.num_left(), g_.num_right()));
+    task.ca.CopyFrom(ca);
+    task.cb.CopyFrom(cb);
     (branch_side == Side::kLeft ? task.ca : task.cb).Reset(branch_vertex);
     task.ca_count = ca_count - (branch_side == Side::kLeft ? 1 : 0);
     task.cb_count = cb_count - (branch_side == Side::kRight ? 1 : 0);
@@ -669,8 +686,8 @@ class ParallelDenseDriver {
     std::vector<std::uint32_t> path = task.path;
     searcher.EnableSplitting(&sink, spawn_depth_, std::move(task.path));
     SearchContext::BranchFrame& root = ws.ctx.Frame(0);
-    root.ca.CopyFrom(task.ca.Span());
-    root.cb.CopyFrom(task.cb.Span());
+    root.ca.CopyFrom(task.ca);
+    root.cb.CopyFrom(task.cb);
     MbbResult result =
         searcher.RunFrom(std::move(task.a), std::move(task.b), root,
                          task.ca_count, task.cb_count, task.depth);
@@ -731,8 +748,9 @@ MbbResult SolveFromRoot(const DenseSubgraph& g, const DenseMbbOptions& options,
   SubtreeTask task;
   task.a = std::move(a);
   task.b = std::move(b);
-  task.ca = Bitset(root.ca.Span());
-  task.cb = Bitset(root.cb.Span());
+  task.AllocateSets(std::max(g.num_left(), g.num_right()));
+  task.ca.CopyFrom(root.ca);
+  task.cb.CopyFrom(root.cb);
   task.ca_count = ca_count;
   task.cb_count = cb_count;
   task.depth = 0;

@@ -37,8 +37,8 @@ DynamicMbbOutcome DynamicMbbSolve(const DenseSubgraph& g,
 /// Convenience wrapper: checks the Lemma 3 condition on `(ca, cb)` and, if
 /// polynomially solvable, runs the DP. `improved` is false either when the
 /// condition fails (`*polynomial` = false) or when nothing beats the bound.
-/// `ca`/`cb` are bitset views — a `Bitset`, `BitRow`, or `BitMatrix` row
-/// all convert.
+/// `ca`/`cb` are bitset views — a `BitRow` or a `BitMatrix` row both
+/// convert.
 DynamicMbbOutcome TryDynamicMbb(const DenseSubgraph& g,
                                 std::span<const VertexId> partial_a,
                                 std::span<const VertexId> partial_b,

@@ -4,26 +4,31 @@
 #include <cassert>
 
 #include "core/complement_decomposition.h"
+#include "engine/search_context.h"
 
 namespace mbb {
 
 namespace {
 
 /// Branch and bound for the (a, b) target. State mirrors denseMBB's:
-/// (A, B) chosen, (CA, CB) candidates with the biclique invariant.
+/// (A, B) chosen, (CA, CB) candidates with the biclique invariant, kept in
+/// the pooled `SearchContext` frames (one per exclusion depth).
 class SizeConstrainedSearcher {
  public:
   SizeConstrainedSearcher(const DenseSubgraph& g, std::uint32_t a,
-                          std::uint32_t b, const SearchLimits& limits)
-      : g_(g), target_a_(a), target_b_(b), limits_(limits) {}
+                          std::uint32_t b, const SearchLimits& limits,
+                          SearchContext& context)
+      : g_(g), target_a_(a), target_b_(b), limits_(limits), ctx_(context) {}
 
   std::optional<Biclique> Run() {
-    Bitset ca(g_.num_left());
-    ca.SetAll();
-    Bitset cb(g_.num_right());
-    cb.SetAll();
+    ctx_.PrepareFrames(std::max(g_.num_left(), g_.num_right()));
+    SearchContext::BranchFrame& root = ctx_.Frame(0);
+    root.ca.Resize(g_.num_left());
+    root.ca.SetAll();
+    root.cb.Resize(g_.num_right());
+    root.cb.SetAll();
     found_ = false;
-    Rec(std::move(ca), std::move(cb));
+    Rec(root.ca, root.cb, /*level=*/0);
     if (!found_) return std::nullopt;
     return witness_;
   }
@@ -32,8 +37,10 @@ class SizeConstrainedSearcher {
   StopCause stop_cause() const { return stop_cause_; }
 
  private:
-  // Returns true when the search should stop (found or limit).
-  bool Rec(Bitset ca, Bitset cb) {
+  // Returns true when the search should stop (found or limit). `ca`/`cb`
+  // alias the pooled frame for `level`; the exclusion branch copies them
+  // into the next level's frame, the inclusion branch narrows them in place.
+  bool Rec(BitRow& ca, BitRow& cb, std::size_t level) {
     while (true) {
       ++recursions_;
       const StopCause cause = limits_.CheckStop(recursions_);
@@ -140,11 +147,11 @@ class SizeConstrainedSearcher {
       const std::size_t a_mark = a_.size();
       const std::size_t b_mark = b_.size();
       {
-        Bitset next_ca = ca;
-        Bitset next_cb = cb;
-        (branch_side == Side::kLeft ? next_ca : next_cb)
-            .Reset(branch_vertex);
-        if (Rec(std::move(next_ca), std::move(next_cb))) return true;
+        SearchContext::BranchFrame& next = ctx_.Frame(level + 1);
+        next.ca.CopyFrom(ca);
+        next.cb.CopyFrom(cb);
+        (branch_side == Side::kLeft ? next.ca : next.cb).Reset(branch_vertex);
+        if (Rec(next.ca, next.cb, level + 1)) return true;
         a_.resize(a_mark);
         b_.resize(b_mark);
       }
@@ -170,6 +177,7 @@ class SizeConstrainedSearcher {
   std::uint32_t target_a_;
   std::uint32_t target_b_;
   const SearchLimits& limits_;
+  SearchContext& ctx_;
   std::vector<VertexId> a_;
   std::vector<VertexId> b_;
   Biclique witness_;
@@ -182,12 +190,15 @@ class SizeConstrainedSearcher {
 
 std::optional<Biclique> FindSizeConstrainedBiclique(
     const DenseSubgraph& g, std::uint32_t a, std::uint32_t b,
-    const SearchLimits& limits, StopCause* stop_cause) {
+    const SearchLimits& limits, StopCause* stop_cause,
+    SearchContext* context) {
   if (a > g.num_left() || b > g.num_right()) {
     if (stop_cause != nullptr) *stop_cause = StopCause::kNone;
     return std::nullopt;
   }
-  SizeConstrainedSearcher searcher(g, a, b, limits);
+  SearchContext transient;
+  SizeConstrainedSearcher searcher(g, a, b, limits,
+                                   context != nullptr ? *context : transient);
   std::optional<Biclique> result = searcher.Run();
   if (stop_cause != nullptr) *stop_cause = searcher.stop_cause();
   if (searcher.stop_cause() != StopCause::kNone) return std::nullopt;

@@ -9,6 +9,8 @@
 
 namespace mbb {
 
+class SearchContext;
+
 /// The size-constrained (a, b) biclique problem of §4.2: decide whether a
 /// biclique `(A, B)` with `|A| >= a` and `|B| >= b` exists, and produce a
 /// witness. The paper uses the problem definitionally (Observation 2's
@@ -20,9 +22,12 @@ namespace mbb {
 /// target (prunes on per-side potentials and the candidates' degree
 /// requirements). Returns std::nullopt when no such biclique exists (or
 /// a limit fired — `*stop_cause` then names the first one, else kNone).
+/// The candidate sets live in `context`'s pooled frames (a transient
+/// context when null).
 std::optional<Biclique> FindSizeConstrainedBiclique(
     const DenseSubgraph& g, std::uint32_t a, std::uint32_t b,
-    const SearchLimits& limits = {}, StopCause* stop_cause = nullptr);
+    const SearchLimits& limits = {}, StopCause* stop_cause = nullptr,
+    SearchContext* context = nullptr);
 
 /// The maximal (a, b) instances (Pareto frontier) of a whole subgraph —
 /// the generalization of Observation 2 from single path/cycle components

@@ -23,6 +23,8 @@ Biclique HeuristicIncumbent(const BipartiteGraph& g) {
   }
 }
 
+bool DegradesToGreedy(std::string_view name) { return name != "sizecon"; }
+
 MbbResult SolveAnytime(std::string_view name, const BipartiteGraph& g,
                        const SolverOptions& options) {
   try {
@@ -31,7 +33,7 @@ MbbResult SolveAnytime(std::string_view name, const BipartiteGraph& g,
     // Covers ResourceExhaustedError (budget refusal) and genuine OOM the
     // unwinding freed enough memory to recover from.
     MbbResult degraded;
-    degraded.best = HeuristicIncumbent(g);
+    if (DegradesToGreedy(name)) degraded.best = HeuristicIncumbent(g);
     degraded.exact = false;
     degraded.stats.stop_cause = StopCause::kResourceExhausted;
     degraded.stats.timed_out = false;

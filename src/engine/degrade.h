@@ -25,6 +25,12 @@ namespace mbb {
 /// greedy cannot run (it allocates only vectors, so that means real OOM).
 Biclique HeuristicIncumbent(const BipartiteGraph& g);
 
+/// True when a degraded answer of solver `name` may carry the
+/// `HeuristicIncumbent`. False for `sizecon`: its witness must meet the
+/// (a, b) floor, which the greedy cannot promise, so it degrades to an
+/// empty answer instead.
+bool DegradesToGreedy(std::string_view name);
+
 /// `SolverRegistry::Solve` with the resource-exhaustion path converted
 /// into a degraded anytime result as described above.
 MbbResult SolveAnytime(std::string_view name, const BipartiteGraph& g,

@@ -10,6 +10,12 @@ namespace mbb {
 void SearchContext::PrepareFrames(std::size_t max_bits) {
   const std::size_t needed =
       std::max<std::size_t>(BitMatrix::StrideWords(max_bits), 1);
+  // Sized independently of the frame stride: a context whose stride was
+  // fixed by an unprepared Frame() call still needs its matching row.
+  if (needed > missing_arena_.stride_words()) {
+    missing_arena_ = BitMatrix(1, needed * 64);
+    matching_.missing = missing_arena_.EmptyRow(0);
+  }
   if (needed <= stride_words_) return;
   // Re-carve the pool at the wider stride. Safe only between searches:
   // existing BranchFrame references die with the slabs backing them.

@@ -7,15 +7,14 @@
 
 #include "graph/bipartite_graph.h"
 #include "graph/bit_matrix.h"
-#include "graph/bitset.h"
 
 namespace mbb {
 
 /// Pooled scratch memory for the branch-and-bound searches.
 ///
-/// The searchers (`basicBB`, `denseMBB`, the bridge/verify pipeline) used
-/// to copy their candidate `Bitset`s into fresh heap allocations at every
-/// branch node, which dominated the cost of shallow nodes on small
+/// The searchers (`basicBB`, `denseMBB`, `sizecon`, the bridge/verify
+/// pipeline) used to copy their candidate sets into fresh heap allocations
+/// at every branch node, which dominated the cost of shallow nodes on small
 /// subgraphs. A `SearchContext` keeps one reusable candidate-set frame per
 /// recursion nesting level plus the auxiliary vectors of the König
 /// (complement-matching) bound, so a branch step degrades into word copies
@@ -51,7 +50,8 @@ class SearchContext {
   /// Scratch for denseMBB's complement-matching (König) bound: the
   /// participating left vertices, their complement adjacency rows (pooled
   /// — `rows_used` says how many are live this round), Kuhn's matching
-  /// state, and the per-candidate difference bitset.
+  /// state, and the per-candidate difference row (frame-wide, sized by
+  /// `PrepareFrames`).
   struct MatchingScratch {
     std::vector<VertexId> left;
     std::vector<std::vector<std::uint32_t>> adj;
@@ -60,7 +60,7 @@ class SearchContext {
     std::vector<std::uint64_t> seen;
     std::vector<VertexId> touched_right;
     std::uint64_t round = 0;
-    Bitset missing;
+    BitRow missing;
 
     /// Starts a new bound computation: clears the participant list and
     /// recycles the adjacency rows without releasing their capacity.
@@ -86,12 +86,13 @@ class SearchContext {
   SearchContext(const SearchContext&) = delete;
   SearchContext& operator=(const SearchContext&) = delete;
 
-  /// Ensures every frame row can hold at least `max_bits` bits. Search
-  /// entry points call this with `max(num_left, num_right)` before taking
-  /// `Frame(0)`. Growing the stride discards existing frames and slabs, so
-  /// it must only be called between searches, never while frames are live.
-  /// Shrinking never happens — a context reused across differently sized
-  /// subgraphs keeps the largest stride seen.
+  /// Ensures every frame row — and the matching scratch's `missing` row —
+  /// can hold at least `max_bits` bits. Search entry points call this with
+  /// `max(num_left, num_right)` before taking `Frame(0)`. Growing the
+  /// stride discards existing frames and slabs, so it must only be called
+  /// between searches, never while frames are live. Shrinking never
+  /// happens — a context reused across differently sized subgraphs keeps
+  /// the largest stride seen.
   void PrepareFrames(std::size_t max_bits);
 
   /// The scratch frame for recursion nesting level `level` (0-based).
@@ -126,6 +127,8 @@ class SearchContext {
   std::size_t stride_words_ = 0;
   std::vector<BitMatrix> slabs_;
   std::deque<BranchFrame> frames_;
+  // Backs `matching_.missing`; grown by PrepareFrames, never shrunk.
+  BitMatrix missing_arena_;
   MatchingScratch matching_;
   std::vector<std::uint32_t> score_scratch_;
 };

@@ -35,8 +35,9 @@ struct SolverOptions {
   /// Recursion cap; 0 means unlimited. Mainly failure injection in tests.
   std::uint64_t max_recursions = 0;
   /// Balanced-size lower bound: only strictly larger bicliques are
-  /// reported (`best` stays empty when nothing beats it). Ignored by
-  /// solvers without an incumbent parameter (heuristics, `brute`).
+  /// reported (`best` stays empty when nothing beats it). Every exact
+  /// plain-MBB solver honours it; `sizecon`, `topk`, `brute` and the
+  /// heuristics (`pols`, `sbmnas`) ignore it.
   std::uint32_t initial_bound = 0;
   /// When non-null, the final `SearchStats` are merged into this sink by
   /// `SolverRegistry::Solve` — the hook the eval/CLI layers use to

@@ -59,6 +59,13 @@ Options WithPolicy(Options target, const SolverOptions& options) {
   return target;
 }
 
+/// The `initial_bound` contract for the adapters whose algorithm takes no
+/// incumbent: an answer that does not beat the bound is reported empty.
+MbbResult AboveBound(MbbResult result, std::uint32_t bound) {
+  if (result.best.BalancedSize() <= bound) result.best = Biclique();
+  return result;
+}
+
 // ---------------------------------------------------------------------------
 // Dense-side exact searchers (whole-graph DenseSubgraph).
 // ---------------------------------------------------------------------------
@@ -106,7 +113,8 @@ class HbvSolver final : public NamedSolver<true> {
       hbv = preset_();
       hbv.greedy = options.hbv.greedy;
     }
-    return HbvMbb(g, WithPolicy(std::move(hbv), options));
+    return AboveBound(HbvMbb(g, WithPolicy(std::move(hbv), options)),
+                      options.initial_bound);
   }
 
  private:
@@ -119,8 +127,10 @@ class AutoSolver final : public NamedSolver<true> {
   using NamedSolver::NamedSolver;
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    return FindMaximumBalancedBiclique(g, WithPolicy(options.hbv, options),
-                                       options.dense_threshold);
+    return AboveBound(
+        FindMaximumBalancedBiclique(g, WithPolicy(options.hbv, options),
+                                    options.dense_threshold),
+        options.initial_bound);
   }
 };
 
@@ -167,7 +177,9 @@ class AdaptedSolver final : public NamedSolver<true> {
     const AdpVariant variant = variant_ >= 0
                                    ? static_cast<AdpVariant>(variant_)
                                    : options.adapted_variant;
-    return AdpSolve(g, variant, options.Limits(), options.num_threads);
+    return AboveBound(
+        AdpSolve(g, variant, options.Limits(), options.num_threads),
+        options.initial_bound);
   }
 
  private:
@@ -191,7 +203,7 @@ class SizeConstrainedSolver final : public NamedSolver<true> {
     MbbResult result;
     const std::optional<Biclique> witness = FindSizeConstrainedBiclique(
         DenseSubgraph::Whole(g), options.size_a, options.size_b,
-        options.Limits(), &result.stats.stop_cause);
+        options.Limits(), &result.stats.stop_cause, options.context);
     if (witness.has_value()) result.best = *witness;
     result.stats.timed_out = result.stats.stop_cause != StopCause::kNone;
     result.exact = !result.stats.timed_out;

@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
-/// Word-level bitset kernels shared by `Bitset`, `BitSpan`/`BitRow`, and
-/// `BitMatrix`. Every kernel operates on raw `uint64_t` words — callers
+/// Word-level bitset kernels behind the `BitSpan`/`BitRow` views of
+/// `BitMatrix` rows. Every kernel operates on raw `uint64_t` words — callers
 /// (the view layer) translate bit counts to word counts and guarantee the
 /// zero-tail invariant (bits beyond the logical size of the last word are
 /// zero), so no kernel ever masks.

@@ -6,9 +6,10 @@
 /// Popcounts use the Muła nibble-lookup: split each byte into two 4-bit
 /// indices into a per-lane popcount table, add, then horizontally sum with
 /// `vpsadbw`. All loads/stores are unaligned (`loadu`/`storeu`) because
-/// `Bitset` keeps its words in a plain `std::vector`; `BitMatrix` rows are
-/// 64-byte aligned, which the unaligned instructions exploit for free on
-/// every AVX2-era core.
+/// not every row starts on a 32-byte boundary: `BitMatrix` rows of 1 or 2
+/// words use a tight 8- or 16-byte stride. Wide rows are 64-byte aligned,
+/// which the unaligned instructions exploit for free on every AVX2-era
+/// core.
 
 #ifdef MBB_HAVE_AVX2
 

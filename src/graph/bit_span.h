@@ -33,13 +33,14 @@ inline void PrefetchWords(const std::uint64_t* words, std::size_t count) {
 #endif
 }
 
-/// Non-owning read-only view over a run of bitset words. This is the type
-/// the search code shares with `Bitset` and `BitMatrix`: adjacency rows
-/// and candidate frames all surface as spans, so the inner loops are
-/// agnostic to where the words live.
+/// Non-owning read-only view over a run of bitset words. `BitMatrix` is
+/// the one owner of bitset words; `BitSpan` reads them and `BitRow`
+/// writes them. Adjacency rows, candidate frames, task snapshots and
+/// scratch rows all surface as spans, so the inner loops are agnostic to
+/// which arena the words live in.
 ///
-/// Invariant (shared with every owner that hands out spans): bits beyond
-/// `size()` in the final word are zero, so counts never mask.
+/// Invariant (kept by every `BitRow` write): bits beyond `size()` in the
+/// final word are zero, so counts never mask.
 class BitSpan {
  public:
   BitSpan() = default;
@@ -163,10 +164,11 @@ class BitSpan {
 };
 
 /// Non-owning mutable view over a fixed-capacity run of bitset words —
-/// the shape of a `BitMatrix` row or a pooled `SearchContext` candidate
-/// frame. The logical size can move anywhere within the capacity
-/// (`Resize`, `CopyFrom`), which is what lets basicBB's role-swapping
-/// recursion reuse one frame for candidate sets of either side.
+/// a `BitMatrix` row, whether an adjacency row, a pooled `SearchContext`
+/// candidate frame, a forked task's snapshot or a scratch row. The
+/// logical size can move anywhere within the capacity (`Resize`,
+/// `CopyFrom`), which is what lets basicBB's role-swapping recursion reuse
+/// one frame for candidate sets of either side.
 ///
 /// A `BitRow` never reallocates; the owner of the words controls their
 /// lifetime. Copying a `BitRow` copies the view, not the bits — use
@@ -231,7 +233,8 @@ class BitRow {
   }
 
   /// Moves the logical size within the capacity, preserving existing bits;
-  /// bits added by growth are set to `value`. Mirrors `Bitset::Resize`.
+  /// bits added by growth are set to `value`, and a shrink zeroes the
+  /// dropped bits of the new final word.
   void Resize(std::size_t num_bits, bool value = false) {
     assert(BitWords(num_bits) <= capacity_words_);
     const std::size_t old_bits = num_bits_;

@@ -8,7 +8,6 @@
 #include "graph/biclique.h"
 #include "graph/bipartite_graph.h"
 #include "graph/bit_matrix.h"
-#include "graph/bitset.h"
 
 namespace mbb {
 

@@ -41,7 +41,6 @@
 #include "engine/solver.h"
 #include "graph/biclique.h"
 #include "graph/bipartite_graph.h"
-#include "graph/bitset.h"
 #include "graph/datasets.h"
 #include "graph/dense_subgraph.h"
 #include "graph/generators.h"

@@ -201,13 +201,14 @@ bool ParseRequest(const Json& json, Request* out, std::string* error,
   out->algo = json.GetString("algo", "auto");
   const Json* deadline = json.Find("deadline_ms");
   if (deadline != nullptr) {
-    if (!deadline->is_number() || deadline->AsDouble() < 0) {
-      return FailParse(error, "'deadline_ms' must be a non-negative number");
+    if (!deadline->is_number() || deadline->AsDouble() < 0 ||
+        deadline->AsDouble() > kMaxDeadlineMs) {
+      return FailParse(error, "'deadline_ms' must be a number in [0, 1e12]");
     }
     out->deadline_ms = deadline->AsDouble();
   }
   std::uint64_t value = 0;
-  if (!GetUint(json, "threads", 1024, &value, error)) return false;
+  if (!GetUint(json, "threads", kMaxThreads, &value, error)) return false;
   out->threads = static_cast<std::uint32_t>(value);
   value = 0;
   if (!GetUint(json, "initial_bound", ~std::uint32_t{0}, &value, error)) {

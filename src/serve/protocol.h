@@ -68,6 +68,16 @@ struct Response {
   bool has_payload = false;
 };
 
+/// Largest `threads` a request (or the server's `--threads` and
+/// `--workers` flags) may ask for.
+inline constexpr std::uint32_t kMaxThreads = 1024;
+
+/// Largest deadline, in milliseconds (about 31.7 years), a request's
+/// `deadline_ms` or a server `*-ms` flag may carry. Values past ~9.2e12 ms
+/// overflow the steady-clock arithmetic that turns a deadline into a time
+/// point, which would make the query expire at once.
+inline constexpr double kMaxDeadlineMs = 1e12;
+
 /// Limits applied while materialising request graphs — the admission
 /// half of payload hardening (the parse half lives in `EdgeListLimits`).
 struct RequestLimits {

@@ -556,13 +556,12 @@ bool Server::RunJob(Job job, SearchContext* context) {
 
   // A deadline that expired while queued: answer right away instead of
   // burning a worker on a query nobody is waiting for — but carry a cheap
-  // heuristic incumbent, not an empty shrug. sizecon is excluded: its
-  // witness must meet the (a,b) floor, which the greedy cannot promise.
+  // heuristic incumbent where the solver's contract allows one.
   const Clock::time_point solve_start = Clock::now();
   if (job.has_deadline && solve_start >= job.deadline) {
     response.exact = false;
     response.stop_cause = StopCauseName(StopCause::kDeadline);
-    if (job.request.algo != "sizecon") {
+    if (DegradesToGreedy(job.request.algo)) {
       const Biclique incumbent = HeuristicIncumbent(job.request.graph);
       response.size = incumbent.BalancedSize();
       response.left = incumbent.left;

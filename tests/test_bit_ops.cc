@@ -12,8 +12,7 @@
 
 #include "engine/registry.h"
 #include "graph/bit_ops.h"
-#include "graph/bit_span.h"
-#include "graph/bitset.h"
+#include "graph/bit_matrix.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -189,29 +188,32 @@ TEST(BitOpsKernels, FusedKernelsSupportAliasedDestination) {
 }
 
 /// The inline small-size fast path and the dispatch path must agree with
-/// the Bitset-level operations end to end.
-TEST(BitOpsKernels, BitsetOpsMatchUnderBothPolicies) {
+/// the row-level operations end to end.
+TEST(BitOpsKernels, RowOpsMatchUnderBothPolicies) {
   std::mt19937_64 rng(53);
   for (const std::size_t bits : kBoundarySizes) {
-    Bitset a(bits);
-    Bitset b(bits);
+    BitMatrix m(4, bits);  // a, b, a & b under kAuto, a & b under scalar
+    BitRow a = m.Row(0);
+    BitRow b = m.Row(1);
     for (std::size_t i = 0; i < bits; ++i) {
       if (rng() & 1) a.Set(i);
       if (rng() & 1) b.Set(i);
     }
     std::size_t auto_count_and;
     std::size_t auto_count_and_not;
-    Bitset auto_and;
+    BitRow auto_and = m.Row(2);
     {
       ScopedPolicy p(DispatchPolicy::kAuto);
       auto_count_and = a.CountAnd(b);
       auto_count_and_not = a.CountAndNot(b);
-      auto_and = a & b;
+      auto_and.AssignAnd(a, b);
     }
     ScopedPolicy p(DispatchPolicy::kForceScalar);
     EXPECT_EQ(a.CountAnd(b), auto_count_and);
     EXPECT_EQ(a.CountAndNot(b), auto_count_and_not);
-    EXPECT_EQ(a & b, auto_and);
+    BitRow scalar_and = m.Row(3);
+    scalar_and.AssignAnd(a, b);
+    EXPECT_TRUE(scalar_and.ContentEquals(auto_and));
     EXPECT_EQ(auto_and.Count(), auto_count_and);
   }
 }

@@ -12,11 +12,7 @@
 namespace mbb {
 namespace {
 
-Bitset FullSet(std::uint32_t n) {
-  Bitset b(n);
-  b.SetAll();
-  return b;
-}
+using testing::FullSet;
 
 /// Brute-force Pareto frontier of independent-set (left, right) sizes of a
 /// path/cycle component, by trying all vertex subsets.
@@ -179,7 +175,7 @@ TEST(DecomposeComplement, CompleteGraphIsAllTrivial) {
   const BipartiteGraph g = testing::CompleteBipartite(4, 5);
   const DenseSubgraph s = testing::WholeGraphDense(g);
   const ComplementDecomposition dec =
-      DecomposeComplement(s, FullSet(4), FullSet(5));
+      DecomposeComplement(s, FullSet(4).Row(0), FullSet(5).Row(0));
   EXPECT_TRUE(dec.lemma3_satisfied);
   EXPECT_TRUE(dec.components.empty());
   EXPECT_EQ(dec.full_left.size(), 4u);
@@ -199,7 +195,7 @@ TEST(DecomposeComplement, PerfectMatchingComplement) {
   const BipartiteGraph g = BipartiteGraph::FromEdges(n, n, edges);
   const DenseSubgraph s = testing::WholeGraphDense(g);
   const ComplementDecomposition dec =
-      DecomposeComplement(s, FullSet(n), FullSet(n));
+      DecomposeComplement(s, FullSet(n).Row(0), FullSet(n).Row(0));
   EXPECT_TRUE(dec.lemma3_satisfied);
   EXPECT_EQ(dec.components.size(), n);
   for (const ComplementComponent& comp : dec.components) {
@@ -225,7 +221,7 @@ TEST(DecomposeComplement, CycleComplement) {
   const BipartiteGraph g = BipartiteGraph::FromEdges(n, n, edges);
   const DenseSubgraph s = testing::WholeGraphDense(g);
   const ComplementDecomposition dec =
-      DecomposeComplement(s, FullSet(n), FullSet(n));
+      DecomposeComplement(s, FullSet(n).Row(0), FullSet(n).Row(0));
   EXPECT_TRUE(dec.lemma3_satisfied);
   ASSERT_EQ(dec.components.size(), 1u);
   EXPECT_TRUE(dec.components[0].is_cycle);
@@ -238,7 +234,7 @@ TEST(DecomposeComplement, DetectsLemma3Violation) {
   const BipartiteGraph g = BipartiteGraph::FromEdges(4, 4, {{0, 0}});
   const DenseSubgraph s = testing::WholeGraphDense(g);
   const ComplementDecomposition dec =
-      DecomposeComplement(s, FullSet(4), FullSet(4));
+      DecomposeComplement(s, FullSet(4).Row(0), FullSet(4).Row(0));
   EXPECT_FALSE(dec.lemma3_satisfied);
 }
 
@@ -247,10 +243,11 @@ TEST(DecomposeComplement, RespectsCandidateSubsets) {
   const BipartiteGraph g = BipartiteGraph::FromEdges(
       3, 3, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});  // vertex 2 isolated
   const DenseSubgraph s = testing::WholeGraphDense(g);
-  Bitset ca(3);
+  BitMatrix sets(2, 3);
+  BitRow ca = sets.Row(0);
   ca.Set(0);
   ca.Set(1);
-  Bitset cb(3);
+  BitRow cb = sets.Row(1);
   cb.Set(0);
   cb.Set(1);
   const ComplementDecomposition dec = DecomposeComplement(s, ca, cb);
@@ -275,7 +272,7 @@ TEST(DecomposeComplement, ComponentsAlternateSides) {
   const BipartiteGraph g = BipartiteGraph::FromEdges(n, n, edges);
   const DenseSubgraph s = testing::WholeGraphDense(g);
   const ComplementDecomposition dec =
-      DecomposeComplement(s, FullSet(n), FullSet(n));
+      DecomposeComplement(s, FullSet(n).Row(0), FullSet(n).Row(0));
   ASSERT_TRUE(dec.lemma3_satisfied);
   for (const ComplementComponent& comp : dec.components) {
     for (std::size_t i = 1; i < comp.vertices.size(); ++i) {

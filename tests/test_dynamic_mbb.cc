@@ -11,11 +11,7 @@
 namespace mbb {
 namespace {
 
-Bitset FullSet(std::uint32_t n) {
-  Bitset b(n);
-  b.SetAll();
-  return b;
-}
+using testing::FullSet;
 
 /// K(n,n) minus a random sub-permutation-ish structure with at most 2
 /// missing edges per vertex — i.e. a random Lemma-3 instance. The
@@ -52,7 +48,7 @@ TEST(DynamicMbb, CompleteGraphTrivialPart) {
   const DenseSubgraph s = testing::WholeGraphDense(g);
   bool polynomial = false;
   const DynamicMbbOutcome outcome = TryDynamicMbb(
-      s, {}, {}, FullSet(4), FullSet(6), 0, &polynomial);
+      s, {}, {}, FullSet(4).Row(0), FullSet(6).Row(0), 0, &polynomial);
   EXPECT_TRUE(polynomial);
   ASSERT_TRUE(outcome.improved);
   EXPECT_EQ(outcome.best.BalancedSize(), 4u);
@@ -65,7 +61,7 @@ TEST(DynamicMbb, RejectsNonPolynomialInstance) {
   const DenseSubgraph s = testing::WholeGraphDense(g);
   bool polynomial = true;
   const DynamicMbbOutcome outcome = TryDynamicMbb(
-      s, {}, {}, FullSet(4), FullSet(4), 0, &polynomial);
+      s, {}, {}, FullSet(4).Row(0), FullSet(4).Row(0), 0, &polynomial);
   EXPECT_FALSE(polynomial);
   EXPECT_FALSE(outcome.improved);
 }
@@ -85,7 +81,7 @@ TEST(DynamicMbb, MatchingComplement) {
   const std::uint32_t expected = BruteForceMbbSize(g);
   bool polynomial = false;
   const DynamicMbbOutcome outcome = TryDynamicMbb(
-      s, {}, {}, FullSet(n), FullSet(n), 0, &polynomial);
+      s, {}, {}, FullSet(n).Row(0), FullSet(n).Row(0), 0, &polynomial);
   EXPECT_TRUE(polynomial);
   ASSERT_TRUE(outcome.improved);
   EXPECT_EQ(outcome.best.BalancedSize(), expected);
@@ -96,10 +92,10 @@ TEST(DynamicMbb, RespectsLowerBound) {
   const BipartiteGraph g = testing::CompleteBipartite(3, 3);
   const DenseSubgraph s = testing::WholeGraphDense(g);
   const DynamicMbbOutcome at_bound = TryDynamicMbb(
-      s, {}, {}, FullSet(3), FullSet(3), 3, nullptr);
+      s, {}, {}, FullSet(3).Row(0), FullSet(3).Row(0), 3, nullptr);
   EXPECT_FALSE(at_bound.improved);
   const DynamicMbbOutcome below_bound = TryDynamicMbb(
-      s, {}, {}, FullSet(3), FullSet(3), 2, nullptr);
+      s, {}, {}, FullSet(3).Row(0), FullSet(3).Row(0), 2, nullptr);
   EXPECT_TRUE(below_bound.improved);
 }
 
@@ -108,14 +104,15 @@ TEST(DynamicMbb, IncludesPartialResult) {
   // graph. The solver must extend around the partial sets.
   const BipartiteGraph g = testing::CompleteBipartite(4, 4);
   const DenseSubgraph s = testing::WholeGraphDense(g);
-  Bitset ca(4);
+  BitMatrix arena(1, 4);
+  BitRow ca = arena.Row(0);
   ca.Set(1);
   ca.Set(2);
   ca.Set(3);
   const std::vector<VertexId> partial_a = {0};
   bool polynomial = false;
   const DynamicMbbOutcome outcome = TryDynamicMbb(
-      s, partial_a, {}, ca, FullSet(4), 0, &polynomial);
+      s, partial_a, {}, ca, FullSet(4).Row(0), 0, &polynomial);
   EXPECT_TRUE(polynomial);
   ASSERT_TRUE(outcome.improved);
   EXPECT_EQ(outcome.best.BalancedSize(), 4u);
@@ -137,7 +134,7 @@ TEST_P(DynamicMbbRandomTest, MatchesBruteForceOnLemma3Instances) {
 
   bool polynomial = false;
   const DynamicMbbOutcome outcome = TryDynamicMbb(
-      s, {}, {}, FullSet(nl), FullSet(nr), 0, &polynomial);
+      s, {}, {}, FullSet(nl).Row(0), FullSet(nr).Row(0), 0, &polynomial);
   ASSERT_TRUE(polynomial);
   ASSERT_TRUE(outcome.improved);
   EXPECT_EQ(outcome.best.BalancedSize(), expected);

@@ -154,14 +154,28 @@ TEST(SolverOptions, EveryExactSolverReportsWhyItStoppedEarly) {
 }
 
 TEST(SolverOptions, InitialBoundSuppressesSmallerResults) {
-  const BipartiteGraph g = testing::PaperExampleGraph();  // optimum 2
-  SolverOptions options;
-  options.initial_bound = 2;
-  EXPECT_TRUE(SolverRegistry::Solve("dense", g, options).best.Empty());
-  EXPECT_TRUE(SolverRegistry::Solve("basic", g, options).best.Empty());
-  options.initial_bound = 1;
-  EXPECT_EQ(SolverRegistry::Solve("dense", g, options).best.BalancedSize(),
-            2u);
+  // Every exact plain-MBB solver; `sizecon`, `topk` and `brute` ignore the
+  // bound by contract (see `SolverOptions::initial_bound`).
+  const char* kPlainMbb[] = {
+      "dense", "basic", "hbv",     "bd1",  "bd2",  "bd3",  "bd4",
+      "bd5",   "auto",  "extbbclq", "imbea", "fmbe", "adapted", "adp1",
+      "adp2",  "adp3",  "adp4"};
+  for (const BipartiteGraph& g :
+       {testing::PaperExampleGraph(), testing::RandomGraph(20, 20, 0.4, 7)}) {
+    const std::uint32_t optimum = SolverRegistry::Solve("brute", g)
+                                      .best.BalancedSize();
+    ASSERT_GT(optimum, 1u);
+    for (const char* name : kPlainMbb) {
+      SolverOptions options;
+      options.initial_bound = optimum;
+      EXPECT_TRUE(SolverRegistry::Solve(name, g, options).best.Empty())
+          << name << ": nothing beats bound " << optimum;
+      options.initial_bound = optimum - 1;
+      EXPECT_EQ(SolverRegistry::Solve(name, g, options).best.BalancedSize(),
+                optimum)
+          << name << " at bound " << optimum - 1;
+    }
+  }
 }
 
 TEST(SolverOptions, StatsSinkAccumulatesAcrossRuns) {

@@ -314,6 +314,36 @@ TEST_F(FaultsTest, ServerDegradesOnInjectedBadAllocAndKeepsServing) {
   EXPECT_EQ(counters.solver_faults, 0u);
 }
 
+TEST_F(FaultsTest, DegradedSizeconNeverBreaksItsFloor) {
+  // A sizecon witness must meet |A| >= a and |B| >= b. The greedy fallback
+  // cannot promise that, so an exhausted sizecon solve answers empty —
+  // both through SolveAnytime and through the server.
+  const BipartiteGraph g = testing::RandomGraph(20, 20, 0.4, 7);
+  SolverOptions solver_options;
+  solver_options.size_a = 6;
+  solver_options.size_b = 2;
+  ASSERT_TRUE(faults::Configure("alloc.bit_matrix:nth=1"));
+  const MbbResult direct = SolveAnytime("sizecon", g, solver_options);
+  EXPECT_EQ(direct.stats.stop_cause, StopCause::kResourceExhausted);
+  EXPECT_TRUE(direct.best.Empty());
+
+  faults::Reset();  // re-arm the same spec for the server
+  ServerOptions options = FaultServer();
+  options.fault_spec = "alloc.bit_matrix:nth=1";
+  Server server(options);
+  Request request = SolveRequest("sizecon", g, "sizecon");
+  request.size_a = 6;
+  request.size_b = 2;
+  request.use_cache = false;
+  const Response response = server.SubmitAndWait(request);
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_FALSE(response.exact);
+  EXPECT_EQ(response.stop_cause, "resource_exhausted");
+  EXPECT_EQ(response.size, 0u);
+  EXPECT_TRUE(response.left.empty());
+  EXPECT_TRUE(response.right.empty());
+}
+
 TEST_F(FaultsTest, ServerTurnsWorkerFaultIntoStructuredError) {
   ServerOptions options = FaultServer();
   options.fault_spec = "worker.task:every=1";

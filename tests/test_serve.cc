@@ -148,6 +148,37 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   }
 }
 
+TEST(ServeProtocol, RejectsDeadlinesPastTheClockRange) {
+  // A deadline past ~9.2e12 ms overflows the steady-clock arithmetic that
+  // turns it into a time point, so the query used to expire at once. Such
+  // values are refused with a structured error instead.
+  Request request;
+  std::string error;
+  for (const char* line :
+       {R"({"id":"x","random":[20,20,0.4,7],"deadline_ms":1e300})",
+        R"({"id":"x","random":[20,20,0.4,7],"deadline_ms":1e13})"}) {
+    EXPECT_FALSE(serve::ParseRequestLine(line, &request, &error)) << line;
+    EXPECT_NE(error.find("deadline_ms"), std::string::npos) << error;
+  }
+  ASSERT_TRUE(serve::ParseRequestLine(
+      R"({"id":"x","random":[20,20,0.4,7],"deadline_ms":1e12})", &request,
+      &error))
+      << error;
+  EXPECT_EQ(request.deadline_ms, 1e12);
+
+  // End to end: the server answers the line with an error, not with an
+  // expired, degraded solve.
+  Server server{ServerOptions()};
+  Response response;
+  EXPECT_TRUE(server.HandleLine(
+      R"({"id":"x","random":[20,20,0.4,7],"deadline_ms":1e300})",
+      [&response](const Response& r) { response = r; }));
+  server.Drain();
+  EXPECT_FALSE(response.ok);
+  EXPECT_FALSE(response.degraded);
+  EXPECT_NE(response.error.find("deadline_ms"), std::string::npos);
+}
+
 TEST(ServeProtocol, SerializedResponseIsValidJson) {
   Response response;
   response.id = "q9";

@@ -39,6 +39,14 @@ inline DenseSubgraph WholeGraphDense(const BipartiteGraph& g) {
   return DenseSubgraph::Whole(g);
 }
 
+/// A 1-row arena with bits [0, n) set: the full candidate set of an
+/// n-vertex side. Pass `.Row(0)` where a `BitSpan` is expected.
+inline BitMatrix FullSet(std::uint32_t n) {
+  BitMatrix set(1, n);
+  set.Row(0).SetAll();
+  return set;
+}
+
 /// Uniform random test graph.
 inline BipartiteGraph RandomGraph(std::uint32_t nl, std::uint32_t nr,
                                   double density, std::uint64_t seed) {
