@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -31,12 +30,7 @@ MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits,
 
   SharedBound shared_bound(initial_best);
   SearchLimits task_limits = limits;
-  if (task_limits.stop_token == nullptr) {
-    // One token for the whole fleet: the first worker a limit interrupts
-    // trips it, and the rest abort at their next limit check.
-    task_limits.stop_token = std::make_shared<StopToken>();
-  }
-  const std::shared_ptr<StopToken>& stop = task_limits.stop_token;
+  FleetStop fleet(task_limits, num_workers);
 
   struct ScopeResult {
     Biclique best;
@@ -45,8 +39,6 @@ MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits,
   struct WorkerState {
     CenteredWorkspace workspace;
     SearchContext ctx;
-    SearchStats stats;
-    bool exact = true;
   };
   std::vector<WorkerState> workers(num_workers);
   std::vector<ScopeResult> results(order.order.size());
@@ -55,49 +47,33 @@ MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits,
       num_workers, order.order.size(),
       [&](std::size_t worker, std::size_t item) {
         WorkerState& state = workers[worker];
-        ++state.stats.subgraphs_total;
-        if (stop->StopRequested()) {
-          // Drain cheaply: claimed after the stop, never searched.
-          ++state.stats.subgraphs_skipped;
-          state.exact = false;
-          return;
-        }
+        SearchStats& stats = fleet.shard(worker);
+        ++stats.subgraphs_total;
+        if (fleet.SkipIfStopped(worker)) return;
         const std::uint32_t snapshot = shared_bound.Load();
         const CenteredSubgraph s = BuildCenteredSubgraph(
             g, order, order.order[item], state.workspace);
         if (std::min(s.same_side.size(), s.other_side.size()) <= snapshot) {
-          ++state.stats.subgraphs_pruned_size;
+          ++stats.subgraphs_pruned_size;
           return;
         }
         const DenseSubgraph dense = DenseSubgraph::Build(
             g, s.same_side, s.other_side, s.center_side);
-        ++state.stats.subgraphs_searched;
+        ++stats.subgraphs_searched;
         MbbResult scoped = BasicBbSolveAnchored(dense, /*anchor=*/0,
                                                 task_limits, snapshot,
                                                 &state.ctx);
-        state.stats.Merge(scoped.stats);
-        if (!scoped.exact) {
-          state.exact = false;
-          // The first interrupted scope aborts the whole scan; the best
-          // biclique it found so far is still recorded below.
-          stop->RequestStop(scoped.stats.stop_cause == StopCause::kNone
-                                ? StopCause::kExternal
-                                : scoped.stats.stop_cause);
-        }
+        stats.Merge(scoped.stats);
+        // The first interrupted scope aborts the whole scan; the best
+        // biclique it found so far is still recorded below.
+        fleet.Report(scoped);
         if (scoped.best.BalancedSize() > snapshot) {
           results[item].best = dense.ToOriginal(scoped.best);
           results[item].best_size = scoped.best.BalancedSize();
           shared_bound.RaiseTo(results[item].best_size);
         }
       });
-
-  for (WorkerState& state : workers) {
-    out.stats.Merge(state.stats);
-    if (!state.exact) out.exact = false;
-  }
-  if (out.stats.stop_cause == StopCause::kNone && stop->StopRequested()) {
-    out.stats.stop_cause = stop->cause();
-  }
+  out.exact = fleet.Finish(out.stats);
 
   // Reduce: the lowest-index recorded improvement at the global maximum
   // wins (the order-first winner among the scopes that recorded one).

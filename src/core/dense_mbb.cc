@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/dynamic_mbb.h"
+#include "engine/faults.h"
 #include "engine/parallel.h"
 #include "engine/search_context.h"
 #include "graph/bit_matrix.h"
@@ -49,13 +51,7 @@ struct SubtreeTask {
   std::vector<std::uint32_t> path;
 };
 
-/// Where a splitting searcher hands forked subtrees. Decouples the searcher
-/// from the scheduler so the sequential path pays nothing.
-class TaskSink {
- public:
-  virtual ~TaskSink() = default;
-  virtual void Fork(SubtreeTask task) = 0;
-};
+class ParallelDenseDriver;
 
 /// "Earlier in sequential depth-first order" for task paths. A spawner's
 /// inline work runs before any of its forks (prefix first), and because the
@@ -96,29 +92,25 @@ class DenseMbbSearcher {
         ctx_(context) {}
 
   /// Makes branch nodes at depth < `spawn_depth` fork their inclusion
-  /// branch into `sink` instead of exploring it inline; at the deepest
-  /// spawn level the exclusion branch is forked as well, so the searcher
-  /// returns once both children are delegated. `path` is this searcher's
-  /// own position in the task tree (empty for the root).
-  void EnableSplitting(TaskSink* sink, std::uint32_t spawn_depth,
+  /// branch onto `driver` (as tasks of `worker`, the one running this
+  /// searcher) instead of exploring it inline; at the deepest spawn level
+  /// the exclusion branch is forked as well, so the searcher returns once
+  /// both children are delegated. `path` is this searcher's own position
+  /// in the task tree (empty for the root).
+  void EnableSplitting(ParallelDenseDriver* driver, std::size_t worker,
+                       std::uint32_t spawn_depth,
                        std::vector<std::uint32_t> path) {
-    sink_ = sink;
+    driver_ = driver;
+    worker_ = worker;
     spawn_depth_ = spawn_depth;
     path_ = std::move(path);
   }
 
-  /// `root` holds the initial candidate sets; deeper levels draw their
-  /// scratch from the pooled context instead of allocating per branch.
-  MbbResult Run(std::vector<VertexId> a, std::vector<VertexId> b,
-                SearchContext::BranchFrame& root) {
-    return RunFrom(std::move(a), std::move(b), root,
-                   static_cast<std::uint32_t>(root.ca.Count()),
-                   static_cast<std::uint32_t>(root.cb.Count()), /*depth=*/0);
-  }
-
-  /// Resumes a search mid-tree: a forked subtree re-enters here with its
-  /// snapshot state and the depth it was forked at (the counts are carried
-  /// in the task, so nothing is re-counted).
+  /// Searches from `root`'s candidate sets at `depth` (0 for a whole
+  /// search; a forked subtree re-enters with its snapshot state and the
+  /// depth it was forked at, its counts carried in the task so nothing is
+  /// re-counted). Deeper levels draw their scratch from the pooled context
+  /// instead of allocating per branch.
   MbbResult RunFrom(std::vector<VertexId> a, std::vector<VertexId> b,
                     SearchContext::BranchFrame& root, std::uint32_t ca_count,
                     std::uint32_t cb_count, std::uint32_t depth) {
@@ -329,18 +321,16 @@ class DenseMbbSearcher {
       // (<= 2^d - 1 tasks). Below `spawn_depth_` the recursion proceeds
       // sequentially, so the fused SIMD refinement loops below run exactly
       // as in the 1-thread build.
-      if (sink_ != nullptr && depth < spawn_depth_) {
-        ForkInclusion(ca, cb, ca_count, cb_count, depth, branch_side,
-                      branch_vertex);
-        ++stats_.tasks_spawned;
+      if (driver_ != nullptr && depth < spawn_depth_) {
+        Fork(/*include=*/true, ca, cb, ca_count, cb_count, depth,
+             branch_side, branch_vertex);
         if (depth + 1 == spawn_depth_) {
           // The exclusion fork gets the higher ordinal: sequential order
           // explores exclusion first, and PathBefore treats the higher
           // ordinal as sequentially earlier. Owner pops are LIFO, so the
           // owning worker also picks exclusion up first.
-          ForkExclusion(ca, cb, ca_count, cb_count, depth, branch_side,
-                        branch_vertex);
-          ++stats_.tasks_spawned;
+          Fork(/*include=*/false, ca, cb, ca_count, cb_count, depth,
+               branch_side, branch_vertex);
           return false;
         }
         (branch_side == Side::kLeft ? ca : cb).Reset(branch_vertex);
@@ -418,12 +408,15 @@ class DenseMbbSearcher {
     }
   }
 
-  /// Builds the inclusion-branch snapshot for the current branch node and
-  /// hands it to the sink. Deep copies: the fork outlives this frame.
-  void ForkInclusion(const BitRow& ca, const BitRow& cb,
-                     std::uint32_t ca_count, std::uint32_t cb_count,
-                     std::uint32_t depth, Side branch_side,
-                     VertexId branch_vertex) {
+  /// Forks one child of the current branch node as a stealable task: the
+  /// inclusion child (`include`) or, at the deepest spawn level, the
+  /// exclusion child. The snapshot deep-copies the candidate sets — the
+  /// fork outlives this frame — with the branch vertex dropped from its
+  /// side; the inclusion child also fixes it and refines the opposite
+  /// candidate side by its neighbourhood.
+  void Fork(bool include, BitSpan ca, BitSpan cb, std::uint32_t ca_count,
+            std::uint32_t cb_count, std::uint32_t depth, Side branch_side,
+            VertexId branch_vertex) {
     SubtreeTask task;
     task.a = a_;
     task.b = b_;
@@ -435,47 +428,33 @@ class DenseMbbSearcher {
     task.path = path_;
     task.path.push_back(spawn_ordinal_++);
     task.AllocateSets(std::max(g_.num_left(), g_.num_right()));
-    if (branch_side == Side::kLeft) {
-      task.a.push_back(branch_vertex);
-      task.ca.CopyFrom(ca);
-      task.ca.Reset(branch_vertex);
-      task.ca_count = ca_count - 1;
-      task.cb_count = static_cast<std::uint32_t>(
-          task.cb.AssignAndCount(cb, g_.LeftRow(branch_vertex)));
-    } else {
-      task.b.push_back(branch_vertex);
-      task.cb.CopyFrom(cb);
-      task.cb.Reset(branch_vertex);
-      task.cb_count = cb_count - 1;
-      task.ca_count = static_cast<std::uint32_t>(
-          task.ca.AssignAndCount(ca, g_.RightRow(branch_vertex)));
-    }
-    sink_->Fork(std::move(task));
-  }
-
-  /// Builds the exclusion-branch snapshot — the branch vertex dropped from
-  /// its candidate side, nothing else refined — and hands it to the sink.
-  /// Only used at the deepest spawn level, where the spine stops walking
-  /// inline and delegates both children.
-  void ForkExclusion(const BitRow& ca, const BitRow& cb,
-                     std::uint32_t ca_count, std::uint32_t cb_count,
-                     std::uint32_t depth, Side branch_side,
-                     VertexId branch_vertex) {
-    SubtreeTask task;
-    task.a = a_;
-    task.b = b_;
-    task.depth = depth + 1;
-    task.bound_snapshot = best_size_;
-    task.path = path_;
-    task.path.push_back(spawn_ordinal_++);
-    task.AllocateSets(std::max(g_.num_left(), g_.num_right()));
     task.ca.CopyFrom(ca);
     task.cb.CopyFrom(cb);
-    (branch_side == Side::kLeft ? task.ca : task.cb).Reset(branch_vertex);
-    task.ca_count = ca_count - (branch_side == Side::kLeft ? 1 : 0);
-    task.cb_count = cb_count - (branch_side == Side::kRight ? 1 : 0);
-    sink_->Fork(std::move(task));
+    task.ca_count = ca_count;
+    task.cb_count = cb_count;
+    if (branch_side == Side::kLeft) {
+      task.ca.Reset(branch_vertex);
+      --task.ca_count;
+      if (include) {
+        task.a.push_back(branch_vertex);
+        task.cb_count = static_cast<std::uint32_t>(
+            task.cb.AndCountAssign(g_.LeftRow(branch_vertex)));
+      }
+    } else {
+      task.cb.Reset(branch_vertex);
+      --task.cb_count;
+      if (include) {
+        task.b.push_back(branch_vertex);
+        task.ca_count = static_cast<std::uint32_t>(
+            task.ca.AndCountAssign(g_.RightRow(branch_vertex)));
+      }
+    }
+    ++stats_.tasks_spawned;
+    Enqueue(std::move(task));
   }
+
+  /// Hands a fork to the driver; defined once the driver is complete.
+  void Enqueue(SubtreeTask task);
 
   /// Adopts a tighter incumbent found by a concurrent searcher. The local
   /// `best_` biclique is not replaced — only its owner reports the global
@@ -562,8 +541,10 @@ class DenseMbbSearcher {
   Biclique best_;
   SearchStats stats_;
 
-  // Subtree forking (EnableSplitting); null sink = plain sequential search.
-  TaskSink* sink_ = nullptr;
+  // Subtree forking (EnableSplitting); null driver = plain sequential
+  // search.
+  ParallelDenseDriver* driver_ = nullptr;
+  std::size_t worker_ = 0;
   std::uint32_t spawn_depth_ = 0;
   std::vector<std::uint32_t> path_;
   std::uint32_t spawn_ordinal_ = 0;
@@ -606,10 +587,11 @@ class ParallelDenseDriver {
       : g_(g),
         spawn_depth_(spawn_depth),
         max_bits_(std::max(g.num_left(), g.num_right())),
+        task_options_(options),
         local_bound_(initial_best),
+        fleet_(task_options_.limits, num_workers),
         scheduler_(num_workers),
         workers_(num_workers) {
-    task_options_ = options;
     task_options_.num_threads = 1;
     if (options.deterministic) {
       // Snapshot bounds only: a live shared incumbent would make each
@@ -618,11 +600,6 @@ class ParallelDenseDriver {
     } else if (task_options_.shared_bound == nullptr) {
       task_options_.shared_bound = &local_bound_;
     }
-    if (task_options_.limits.stop_token == nullptr) {
-      // All tasks must share one token so the first limit observation
-      // stops the whole fleet, exactly like the verify fan-out.
-      task_options_.limits.stop_token = std::make_shared<StopToken>();
-    }
   }
 
   MbbResult Solve(SubtreeTask root) {
@@ -630,9 +607,9 @@ class ParallelDenseDriver {
     scheduler_.Run();
 
     MbbResult out;
+    out.exact = fleet_.Finish(out.stats);
     const SubtreeRecord* winner = nullptr;
-    for (WorkerState& ws : workers_) {
-      out.stats.Merge(ws.stats);
+    for (const WorkerState& ws : workers_) {
       for (const SubtreeRecord& record : ws.records) {
         if (winner == nullptr || record.size > winner->size ||
             (record.size == winner->size &&
@@ -643,25 +620,8 @@ class ParallelDenseDriver {
     }
     if (winner != nullptr) out.best = winner->best;
     out.stats.tasks_stolen = scheduler_.tasks_stolen();
-    out.exact = !out.stats.timed_out;
     return out;
   }
-
- private:
-  struct WorkerState {
-    SearchContext ctx;
-    SearchStats stats;
-    std::vector<SubtreeRecord> records;
-  };
-
-  /// Per-execution adapter giving the searcher a worker-indexed Fork.
-  struct WorkerSink final : TaskSink {
-    ParallelDenseDriver* driver = nullptr;
-    std::size_t worker = 0;
-    void Fork(SubtreeTask task) override {
-      driver->EnqueueTask(worker, std::move(task));
-    }
-  };
 
   void EnqueueTask(std::size_t worker, SubtreeTask task) {
     // std::function requires copyable callables, so the snapshot rides in
@@ -672,7 +632,15 @@ class ParallelDenseDriver {
     });
   }
 
+ private:
+  struct WorkerState {
+    SearchContext ctx;
+    std::vector<SubtreeRecord> records;
+  };
+
   void RunTask(std::size_t worker, SubtreeTask& task) {
+    MBB_INJECT_FAULT("worker.task",
+                     throw std::runtime_error("injected fault: worker.task"));
     WorkerState& ws = workers_[worker];
     ws.ctx.PrepareFrames(max_bits_);
     std::uint32_t start_bound = task.bound_snapshot;
@@ -680,27 +648,19 @@ class ParallelDenseDriver {
       start_bound = std::max(start_bound, task_options_.shared_bound->Load());
     }
     DenseMbbSearcher searcher(g_, task_options_, start_bound, ws.ctx);
-    WorkerSink sink;
-    sink.driver = this;
-    sink.worker = worker;
     std::vector<std::uint32_t> path = task.path;
-    searcher.EnableSplitting(&sink, spawn_depth_, std::move(task.path));
+    searcher.EnableSplitting(this, worker, spawn_depth_, std::move(task.path));
     SearchContext::BranchFrame& root = ws.ctx.Frame(0);
     root.ca.CopyFrom(task.ca);
     root.cb.CopyFrom(task.cb);
     MbbResult result =
         searcher.RunFrom(std::move(task.a), std::move(task.b), root,
                          task.ca_count, task.cb_count, task.depth);
-    ws.stats.Merge(result.stats);
-    if (!result.exact) {
-      // Sequential semantics: the first task to hit a limit aborts the
-      // whole search, not just its own subtree. The incumbent found so far
-      // is still reported below, as in a timed-out sequential search.
-      const StopCause cause = result.stats.stop_cause != StopCause::kNone
-                                  ? result.stats.stop_cause
-                                  : StopCause::kExternal;
-      task_options_.limits.stop_token->RequestStop(cause);
-    }
+    fleet_.shard(worker).Merge(result.stats);
+    // Sequential semantics: the first task to hit a limit aborts the whole
+    // search, not just its own subtree. The incumbent found so far is
+    // still reported, as in a timed-out sequential search.
+    fleet_.Report(result);
     if (result.best.BalancedSize() > 0) {
       SubtreeRecord record;
       record.best = std::move(result.best);
@@ -715,9 +675,14 @@ class ParallelDenseDriver {
   std::size_t max_bits_;
   DenseMbbOptions task_options_;
   SharedBound local_bound_;
+  FleetStop fleet_;
   StealScheduler scheduler_;
   std::vector<WorkerState> workers_;
 };
+
+void DenseMbbSearcher::Enqueue(SubtreeTask task) {
+  driver_->EnqueueTask(worker_, std::move(task));
+}
 
 /// Decides between the sequential searcher and the work-stealing driver,
 /// then runs the search from `root`. The deterministic mode routes through

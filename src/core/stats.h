@@ -116,10 +116,10 @@ struct SearchLimits {
   /// the token (a relaxed atomic load — checked on every call, not just at
   /// poll boundaries, so a stop propagates promptly), and the first
   /// searcher whose clock poll sees the deadline trips the token for
-  /// everyone sharing it. Null means no shared stop: the fan-outs
-  /// (`ParallelFor` scans, the subtree layer) install one when the caller
-  /// passes none. A token never changes the `kDeadlinePollInterval` clock
-  /// polling; it only adds the flag check.
+  /// everyone sharing it. Null means no shared stop: every parallel
+  /// fan-out installs one through `FleetStop` (engine/parallel.h) when the
+  /// caller passes none. A token never changes the `kDeadlinePollInterval`
+  /// clock polling; it only adds the flag check.
   std::shared_ptr<StopToken> stop_token;
 
   static SearchLimits None() { return {}; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,15 +15,11 @@ namespace mbb {
 
 namespace {
 
-/// What processing one survivor produced. Each survivor is handled by
+/// Improvement one survivor's anchored search found, in the reduced
+/// graph's ids; `best_size == 0` means none. Each survivor is handled by
 /// exactly one worker, so these can be reduced after the join without
 /// synchronization.
 struct SurvivorResult {
-  bool exact = true;
-  /// Why the anchored search aborted when `!exact` (kNone otherwise).
-  StopCause stop_cause = StopCause::kNone;
-  /// Improvement found by the anchored search, in the reduced graph's ids;
-  /// `best_size == 0` means none.
   Biclique best;
   std::uint32_t best_size = 0;
 };
@@ -33,13 +28,14 @@ struct SurvivorResult {
 /// reduction, and the anchored exhaustive search, all against the
 /// `best_size` snapshot. `dense_options` arrives with limits (and, with
 /// several workers, the shared bound) already installed; `stats` is the
-/// calling worker's shard.
+/// calling worker's shard, and the search's outcome is reported to `fleet`.
 SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
                                const CenteredSubgraph& s,
                                const VerifyOptions& options,
                                const DenseMbbOptions& dense_options,
                                std::uint32_t best_size, SearchContext& ctx,
-                               CsrScratch& scratch, SearchStats& stats) {
+                               CsrScratch& scratch, SearchStats& stats,
+                               FleetStop& fleet) {
   SurvivorResult out;
 
   // Stale pruning: the incumbent may have grown since step 2, through
@@ -136,8 +132,9 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
                                   best_size, &ctx);
   }
   stats.Merge(result.stats);
-  out.exact = result.exact;
-  if (!result.exact) out.stop_cause = result.stats.stop_cause;
+  // The first inexact search — whatever its cause — aborts the whole
+  // scan; survivors claimed after it count as skipped.
+  fleet.Report(result);
   if (result.best.BalancedSize() > best_size) {
     out.best = dense.ToOriginal(result.best);
     out.best_size = result.best.BalancedSize();
@@ -178,32 +175,19 @@ VerifyOutcome VerifyMbb(const BipartiteGraph& reduced,
     // reduce below — does not depend on worker timing.
     dense_options.shared_bound = frozen ? nullptr : &shared_bound;
   }
-  if (dense_options.limits.stop_token == nullptr) {
-    // One token for the whole fleet: the first worker whose clock poll sees
-    // the deadline trips it, and every other worker aborts at its next
-    // limit check instead of discovering the deadline on its own schedule.
-    dense_options.limits.stop_token = std::make_shared<StopToken>();
-  }
-  const std::shared_ptr<StopToken>& stop = dense_options.limits.stop_token;
+  FleetStop fleet(dense_options.limits, num_workers);
 
   struct WorkerState {
     SearchContext ctx;
     CsrScratch scratch;
-    SearchStats stats;
-    bool exact = true;
   };
   std::vector<WorkerState> workers(num_workers);
   std::vector<SurvivorResult> results(survivors.size());
 
   ParallelFor(num_workers, survivors.size(),
               [&](std::size_t worker, std::size_t item) {
+                if (fleet.SkipIfStopped(worker)) return;
                 WorkerState& state = workers[worker];
-                if (stop->StopRequested()) {
-                  // Drain cheaply: claimed after the stop, never searched.
-                  ++state.stats.subgraphs_skipped;
-                  state.exact = false;
-                  return;
-                }
                 // Worker 0 is the caller's thread: its anchored searches
                 // pool their branch frames in `context`.
                 SearchContext& ctx =
@@ -211,31 +195,13 @@ VerifyOutcome VerifyMbb(const BipartiteGraph& reduced,
                 SurvivorResult result = ProcessSurvivor(
                     reduced, survivors[item], options, dense_options,
                     frozen ? initial_best_size : shared_bound.Load(), ctx,
-                    state.scratch, state.stats);
+                    state.scratch, fleet.shard(worker), fleet);
                 if (result.best_size > 0 && !frozen) {
                   shared_bound.RaiseTo(result.best_size);
                 }
-                if (!result.exact) {
-                  state.exact = false;
-                  // The first inexact search — whatever its cause — aborts
-                  // the whole scan, so a per-search recursion cap doesn't
-                  // silently turn into survivor-count-many capped searches.
-                  // (Deadlines already tripped the token inside the limit
-                  // check.) Survivors claimed after it count as skipped.
-                  stop->RequestStop(result.stop_cause == StopCause::kNone
-                                        ? StopCause::kExternal
-                                        : result.stop_cause);
-                }
                 results[item] = std::move(result);
               });
-
-  for (WorkerState& state : workers) {
-    out.stats.Merge(state.stats);
-    if (!state.exact) out.exact = false;
-  }
-  if (out.stats.stop_cause == StopCause::kNone && stop->StopRequested()) {
-    out.stats.stop_cause = stop->cause();
-  }
+  out.exact = fleet.Finish(out.stats);
 
   // Reduce: the lowest-index recorded improvement at the global maximum
   // wins. With several workers, which survivors record one depends on when

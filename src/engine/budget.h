@@ -12,9 +12,10 @@
 /// into a degraded `resource_exhausted` result by `SolveAnytime` or the
 /// serve layer.
 ///
-/// Budgets follow work across threads: `ParallelFor` and the steal
-/// scheduler capture the spawning thread's budget and install it in their
-/// workers, so a parallel solve shares one budget instead of each worker
+/// Budgets follow work across threads: `StealScheduler::Run` — the one
+/// executor, under both `ParallelFor` scans and denseMBB subtree forks —
+/// captures the calling thread's budget and installs it in every worker it
+/// starts, so a parallel solve shares one budget instead of each worker
 /// getting an unmetered heap.
 
 #include <atomic>

@@ -18,7 +18,7 @@ constexpr const char* kKnownPoints[] = {
     "alloc.bit_matrix",     // BitMatrix arena allocation -> bad_alloc
     "alloc.search_context", // SearchContext slab growth -> bad_alloc
     "alloc.csr",            // CsrScratch buffer growth -> bad_alloc
-    "worker.task",          // parallel worker task body -> runtime_error
+    "worker.task",          // ParallelFor item, subtree task -> runtime_error
     "serve.worker_stall",   // serve worker goes quiet (stall, ms=)
     "net.write.drop",       // transport write fails hard (peer gone)
     "net.write.transient",  // transport write fails once with EAGAIN

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -26,49 +27,21 @@ std::size_t EffectiveThreadCount(std::size_t requested,
 void ParallelFor(std::size_t num_threads, std::size_t num_items,
                  const std::function<void(std::size_t, std::size_t)>& fn) {
   if (num_items == 0) return;
-  num_threads = EffectiveThreadCount(num_threads, num_items);
-  if (num_threads <= 1) {
-    for (std::size_t item = 0; item < num_items; ++item) {
+  StealScheduler scheduler(EffectiveThreadCount(num_threads, num_items));
+  std::atomic<std::size_t> next{0};
+  const StealScheduler::Task claim_loop = [&](std::size_t worker) {
+    for (std::size_t item = next.fetch_add(1, std::memory_order_relaxed);
+         item < num_items;
+         item = next.fetch_add(1, std::memory_order_relaxed)) {
       MBB_INJECT_FAULT("worker.task",
                        throw std::runtime_error("injected fault: worker.task"));
-      fn(0, item);
-    }
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const auto work = [&](std::size_t worker) {
-    try {
-      while (true) {
-        const std::size_t item = next.fetch_add(1, std::memory_order_relaxed);
-        if (item >= num_items) return;
-        MBB_INJECT_FAULT(
-            "worker.task",
-            throw std::runtime_error("injected fault: worker.task"));
-        fn(worker, item);
-      }
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error == nullptr) first_error = std::current_exception();
+      fn(worker, item);
     }
   };
-
-  // The spawning thread's memory budget follows the work onto the pool:
-  // one solve, one meter, regardless of fan-out.
-  const std::shared_ptr<MemoryBudget> budget = MemoryBudget::Current();
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (std::size_t worker = 1; worker < num_threads; ++worker) {
-    threads.emplace_back([&work, worker, budget] {
-      const MemoryBudgetScope scope(budget);
-      work(worker);
-    });
+  for (std::size_t worker = 0; worker < scheduler.num_workers(); ++worker) {
+    scheduler.Spawn(worker, claim_loop);
   }
-  work(0);  // the caller is worker 0
-  for (std::thread& thread : threads) thread.join();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  scheduler.Run();
 }
 
 // ---------------------------------------------------------------------------
@@ -117,21 +90,19 @@ void StealScheduler::Spawn(std::size_t worker, Task task) {
 }
 
 void StealScheduler::Run() {
-  if (deques_.size() == 1) {
-    WorkerLoop(0);
-  } else {
-    const std::shared_ptr<MemoryBudget> budget = MemoryBudget::Current();
-    std::vector<std::thread> threads;
-    threads.reserve(deques_.size() - 1);
-    for (std::size_t worker = 1; worker < deques_.size(); ++worker) {
-      threads.emplace_back([this, worker, budget] {
-        const MemoryBudgetScope scope(budget);
-        WorkerLoop(worker);
-      });
-    }
-    WorkerLoop(0);
-    for (std::thread& thread : threads) thread.join();
+  // The caller's memory budget follows the work onto every worker: one
+  // solve, one meter, regardless of fan-out.
+  const std::shared_ptr<MemoryBudget> budget = MemoryBudget::Current();
+  std::vector<std::thread> threads;
+  threads.reserve(deques_.size() - 1);
+  for (std::size_t worker = 1; worker < deques_.size(); ++worker) {
+    threads.emplace_back([this, worker, budget] {
+      const MemoryBudgetScope scope(budget);
+      WorkerLoop(worker);
+    });
   }
+  WorkerLoop(0);  // the caller is worker 0
+  for (std::thread& thread : threads) thread.join();
   if (first_error_ != nullptr) {
     std::exception_ptr error = first_error_;
     first_error_ = nullptr;
@@ -180,8 +151,6 @@ bool StealScheduler::TrySteal(std::size_t thief, std::uint64_t& rng,
 
 void StealScheduler::Execute(std::size_t worker, Task& task) {
   try {
-    MBB_INJECT_FAULT("worker.task",
-                     throw std::runtime_error("injected fault: worker.task"));
     task(worker);
   } catch (...) {
     const std::lock_guard<std::mutex> lock(error_mutex_);
@@ -189,6 +158,39 @@ void StealScheduler::Execute(std::size_t worker, Task& task) {
   }
   task = nullptr;  // release captured state before signalling completion
   outstanding_.fetch_sub(1, std::memory_order_release);
+}
+
+// ---------------------------------------------------------------------------
+// FleetStop
+// ---------------------------------------------------------------------------
+
+FleetStop::FleetStop(SearchLimits& limits, std::size_t num_workers)
+    : shards_(num_workers) {
+  if (limits.stop_token == nullptr) {
+    limits.stop_token = std::make_shared<StopToken>();
+  }
+  token_ = limits.stop_token;
+}
+
+bool FleetStop::SkipIfStopped(std::size_t worker) {
+  if (!token_->StopRequested()) return false;
+  ++shards_[worker].subgraphs_skipped;
+  inexact_.store(true, std::memory_order_relaxed);
+  return true;
+}
+
+void FleetStop::Report(const MbbResult& result) {
+  if (result.exact) return;
+  inexact_.store(true, std::memory_order_relaxed);
+  token_->RequestStop(result.stats.stop_cause == StopCause::kNone
+                          ? StopCause::kExternal
+                          : result.stats.stop_cause);
+}
+
+bool FleetStop::Finish(SearchStats& out) const {
+  for (const SearchStats& shard : shards_) out.Merge(shard);
+  if (out.stop_cause == StopCause::kNone) out.stop_cause = token_->cause();
+  return !inexact_.load(std::memory_order_relaxed);
 }
 
 }  // namespace mbb

@@ -7,8 +7,11 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
+
+#include "core/stats.h"
 
 namespace mbb {
 
@@ -18,15 +21,18 @@ namespace mbb {
 std::size_t EffectiveThreadCount(std::size_t requested, std::size_t num_items);
 
 /// Fans items `[0, num_items)` out over `num_threads` workers (clamped via
-/// `EffectiveThreadCount`) with dynamic scheduling: workers claim items from
-/// a shared atomic counter, so a run of cheap items never leaves a worker
-/// idle while a neighbour grinds through an expensive one. `fn(worker,
-/// item)` runs exactly once per item; `worker < num_threads` identifies the
-/// calling worker so per-worker state (scratch contexts, stats shards)
-/// needs no locking. With one effective worker everything runs inline on
-/// the caller — no threads are spawned. The first exception thrown by `fn`
-/// is rethrown on the caller after all workers have joined (that worker
-/// stops claiming items; the others drain the rest).
+/// `EffectiveThreadCount`) with dynamic scheduling: one claim loop per
+/// worker runs on a `StealScheduler`, and the loops claim items in index
+/// order from a shared atomic counter, so a run of cheap items never leaves
+/// a worker idle while a neighbour grinds through an expensive one.
+/// `fn(worker, item)` runs exactly once per item, and the `worker.task`
+/// fault point fires once per item; `worker < EffectiveThreadCount(...)`
+/// identifies the calling worker so per-worker state (scratch contexts,
+/// stats shards) needs no locking. Worker 0 is the caller's thread; with
+/// one effective worker every item runs inline, in order, on the caller.
+/// The first exception thrown by `fn` is rethrown on the caller after all
+/// workers have joined (that worker stops claiming items; the others drain
+/// the rest).
 void ParallelFor(std::size_t num_threads, std::size_t num_items,
                  const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -58,16 +64,21 @@ class StealDeque {
   std::deque<Task> tasks_;
 };
 
-/// Per-search work-stealing scheduler: one deque per worker, random-victim
-/// stealing, and an atomic outstanding-task counter for termination. The
-/// caller is worker 0 and participates in the loop; with one worker no
-/// threads are spawned and tasks run inline in pure LIFO (= sequential
-/// depth-first) order — which is what makes the deterministic search mode
-/// exercise the identical code path at every thread count.
+/// The engine's one executor: one deque per worker, random-victim
+/// stealing, and an atomic outstanding-task counter for termination. It is
+/// the only place outside the serve layer that starts solve threads —
+/// `ParallelFor` scans and denseMBB subtree forks both run on it. `Run()`
+/// starts workers 1..n-1 and installs the caller's `MemoryBudget` in each,
+/// so one solve meters against one budget at any fan-out. The caller is
+/// worker 0 and participates in the loop; with one worker no threads are
+/// spawned and tasks run inline in pure LIFO (= sequential depth-first)
+/// order — which is what makes the deterministic search mode exercise the
+/// identical code path at every thread count.
 ///
-/// Usage: `Spawn(0, root)` one or more root tasks, then `Run()`. Tasks may
-/// call `Spawn(worker, child)` with the worker index they were invoked with;
-/// spawning onto another worker's deque is not allowed. `Run()` returns
+/// Usage: `Spawn(w, root)` one or more root tasks, then `Run()`. Before
+/// `Run()` the caller may seed any worker's deque (`ParallelFor` gives each
+/// worker its own claim loop); tasks may only call `Spawn(worker, child)`
+/// with the worker index they were invoked with. `Run()` returns
 /// once every task (including transitively spawned ones) has finished; the
 /// first exception thrown by a task is rethrown on the caller after all
 /// workers have drained.
@@ -77,9 +88,9 @@ class StealScheduler {
 
   explicit StealScheduler(std::size_t num_workers);
 
-  /// Enqueues `task` on `worker`'s own deque. Safe before `Run()` (from the
-  /// caller, as worker 0) and from inside a running task (with the invoking
-  /// worker's index).
+  /// Enqueues `task` on `worker`'s deque. Safe before `Run()` (from the
+  /// caller, onto any worker) and from inside a running task (with the
+  /// invoking worker's index).
   void Spawn(std::size_t worker, Task task);
 
   /// Runs until all outstanding tasks have completed. Must be called once,
@@ -107,6 +118,45 @@ class StealScheduler {
   std::atomic<std::uint64_t> stolen_{0};
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
+};
+
+/// The stop protocol every parallel fan-out follows — the verify survivor
+/// scan, the FMBE scope scan and the denseMBB subtree driver:
+///
+/// 1. one `StopToken` for the whole fleet: the caller's, or a fresh one
+///    installed into the fleet's `SearchLimits` when the caller passed
+///    none, so the first worker whose clock poll sees the deadline stops
+///    every other worker at its next limit check;
+/// 2. the first inexact result — whatever its cause — trips the token
+///    (falling back to `kExternal` when the search recorded none), so a
+///    per-search recursion cap aborts the fleet the way it aborts the
+///    sequential search instead of turning into many capped searches;
+/// 3. per-worker `SearchStats` shards, merged after the join, with
+///    `stop_cause` taken from the token when no shard recorded one.
+class FleetStop {
+ public:
+  /// Installs a fresh token into `limits` when it carries none; `limits`
+  /// is the copy every worker's searches use.
+  FleetStop(SearchLimits& limits, std::size_t num_workers);
+
+  /// `worker`'s stats shard; only that worker touches it until `Finish`.
+  SearchStats& shard(std::size_t worker) { return shards_[worker]; }
+
+  /// True once the fleet is stopping. Work claimed after that is counted
+  /// in `worker`'s shard as skipped and makes the run inexact.
+  bool SkipIfStopped(std::size_t worker);
+
+  /// Records one search's outcome; an inexact one stops the fleet.
+  void Report(const MbbResult& result);
+
+  /// Merges the shards into `out` (after the join) and returns whether
+  /// every search ran to completion.
+  bool Finish(SearchStats& out) const;
+
+ private:
+  std::shared_ptr<StopToken> token_;
+  std::vector<SearchStats> shards_;
+  std::atomic<bool> inexact_{false};
 };
 
 }  // namespace mbb

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dense_mbb.h"
 #include "engine/budget.h"
 #include "engine/degrade.h"
 #include "engine/parallel.h"
@@ -219,6 +220,38 @@ TEST_F(FaultsTest, BudgetScopeInstallsAndRestores) {
   EXPECT_EQ(MemoryBudget::Current(), nullptr);
 }
 
+TEST_F(FaultsTest, BudgetFollowsWorkOntoEveryWorker) {
+  auto budget = std::make_shared<MemoryBudget>(1 << 20);
+  const MemoryBudgetScope scope(budget);
+
+  // Every item, on whichever worker claims it, meters against the
+  // caller's budget; each one-byte charge lands in the caller's usage.
+  std::atomic<int> foreign{0};
+  ParallelFor(4, 64, [&](std::size_t, std::size_t) {
+    if (MemoryBudget::Current() != budget) foreign.fetch_add(1);
+    MemoryBudget::Current()->Charge(1);
+  });
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(budget->used(), 64u);
+
+  // The same holds for scheduler tasks, nested spawns included.
+  StealScheduler scheduler(4);
+  const auto charge = [&](std::size_t) {
+    if (MemoryBudget::Current() != budget) foreign.fetch_add(1);
+    MemoryBudget::Current()->Charge(1);
+  };
+  for (int i = 0; i < 8; ++i) {
+    scheduler.Spawn(0, [&](std::size_t worker) {
+      charge(worker);
+      scheduler.Spawn(worker, charge);
+    });
+  }
+  scheduler.Run();
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(budget->used(), 64u + 16u);
+  budget->Release(budget->used());
+}
+
 TEST_F(FaultsTest, TinyBudgetDegradesSolveAndReleasesCleanly) {
   const BipartiteGraph g = testing::RandomGraph(120, 120, 0.3, 11);
   SolverOptions options;
@@ -266,6 +299,39 @@ TEST_F(FaultsTest, WorkerTaskFaultPropagatesAsSolverError) {
     EXPECT_NE(std::string(e.what()).find("worker.task"), std::string::npos);
   }
   EXPECT_TRUE(threw);
+}
+
+TEST_F(FaultsTest, WorkerTaskFiresOncePerItemAndPerSubtreeTask) {
+  // A trigger that never fires: only the hit counter moves.
+  ASSERT_TRUE(faults::Configure("worker.task:nth=1000000000"));
+  const auto hits = [] { return faults::HitCount("worker.task"); };
+
+  std::uint64_t before = hits();
+  ParallelFor(4, 10, [](std::size_t, std::size_t) {});
+  EXPECT_EQ(hits() - before, 10u);
+  before = hits();
+  ParallelFor(1, 7, [](std::size_t, std::size_t) {});
+  EXPECT_EQ(hits() - before, 7u);
+
+  // The denseMBB subtree driver: one hit per forked subtree plus the root.
+  const DenseSubgraph dense =
+      testing::WholeGraphDense(RandomUniform(48, 48, 0.85, 7));
+  const struct {
+    std::uint32_t threads;
+    bool deterministic;
+  } runs[] = {{1, true}, {4, true}, {4, false}};
+  for (const auto& run : runs) {
+    DenseMbbOptions options;
+    options.num_threads = run.threads;
+    options.spawn_depth = 4;
+    options.deterministic = run.deterministic;
+    before = hits();
+    const MbbResult result = DenseMbbSolve(dense, options);
+    EXPECT_EQ(hits() - before, result.stats.tasks_spawned + 1)
+        << "threads=" << run.threads << " det=" << run.deterministic;
+    // The deterministic task tree does not depend on timing.
+    if (run.deterministic) EXPECT_EQ(result.stats.tasks_spawned, 23u);
+  }
 }
 
 // --- Serving: degraded answers, watchdog, chaos-facing counters -----------
