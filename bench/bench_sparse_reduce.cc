@@ -1,19 +1,17 @@
-/// Measures the sparse-first pipeline against its dense and legacy
-/// alternatives on a low-density surrogate (the regime the representation
-/// switch exists for):
+/// Measures the sparse-first reductions against dense bit rows on a
+/// low-density surrogate (the regime the representation switch exists
+/// for):
 ///
 ///   step1  whole-graph (k+1)-core reduction — CsrScratch peel + O(|E|)
 ///          compaction vs a dense bit-row peel (build bit rows, peel by
-///          popcount, re-extract) vs the legacy ComputeCores + Induce path.
+///          popcount, re-extract).
 ///   step2  per-centre k-core reduction over the bidegeneracy scan —
 ///          CsrScratch::LoadSubgraph + PeelToCore vs keeping the whole
 ///          reduced graph as full-width bit rows and peeling behind a
-///          membership mask (no representation switch) vs the legacy
-///          Induce + ComputeCores path.
+///          membership mask (no representation switch).
 ///
-/// All variants must produce identical survivor/edge counts; the bench
-/// fails on any mismatch. An end-to-end hbvMBB wall-clock headline
-/// (sparse_reduction on vs off) closes the run.
+/// Both variants must produce identical survivor/edge counts; the bench
+/// fails on any mismatch.
 
 #include <algorithm>
 #include <bit>
@@ -24,13 +22,11 @@
 #include <string>
 #include <vector>
 
-#include "core/hbv_mbb.h"
 #include "eval/experiment.h"
 #include "eval/table_printer.h"
 #include "graph/bit_ops.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
-#include "order/core_decomposition.h"
 #include "order/vertex_centered.h"
 
 namespace {
@@ -128,20 +124,6 @@ ReduceRun Step1DenseRows(const BipartiteGraph& g, std::uint32_t k) {
     }
   }
   run.seconds = timer.Seconds();
-  return run;
-}
-
-/// Step-1 the way the pipeline did it before the CSR substrate: a full
-/// core decomposition, the k-core filter, and a FromEdges-backed Induce.
-ReduceRun Step1LegacyInduce(const BipartiteGraph& g, std::uint32_t k) {
-  WallTimer timer;
-  const CoreDecomposition cores = ComputeCores(g);
-  const KCoreVertices kept = KCore(cores, g, k);
-  const InducedSubgraph reduced = g.Induce(kept.left, kept.right);
-  ReduceRun run;
-  run.seconds = timer.Seconds();
-  run.vertices = reduced.graph.NumVertices();
-  run.edges = reduced.graph.num_edges();
   return run;
 }
 
@@ -294,7 +276,6 @@ class GlobalDenseRows {
 
 int main(int argc, char** argv) {
   const BenchConfig config = ParseBenchArgs(argc, argv);
-  const double timeout = config.EffectiveTimeout(60.0);
   const double scale = config.EffectiveScale(1.0);
 
   // Heavy-tailed Chung–Lu surrogate of the paper's KONECT workloads: hub
@@ -308,25 +289,20 @@ int main(int argc, char** argv) {
   const BipartiteGraph g =
       RandomChungLu(n, n, target_edges, /*exponent=*/2.0, /*seed=*/5);
 
-  std::cout << "sparse-first reduction vs dense rows vs legacy induce\n"
+  std::cout << "sparse-first reduction vs dense rows\n"
             << "graph: chung-lu " << n << "x" << n << " (|E|=" << g.num_edges()
-            << ", density " << g.Density() << "), timeout " << timeout
-            << "s\n\n";
+            << ", density " << g.Density() << ")\n\n";
 
   bool ok = true;
 
   // ---- Step 1: whole-graph (k+1)-core reduction. --------------------------
   const ReduceRun s1_csr = Step1Csr(g, k);
   const ReduceRun s1_dense = Step1DenseRows(g, k);
-  const ReduceRun s1_legacy = Step1LegacyInduce(g, k);
   if (s1_dense.vertices != s1_csr.vertices ||
-      s1_dense.edges != s1_csr.edges ||
-      s1_legacy.vertices != s1_csr.vertices ||
-      s1_legacy.edges != s1_csr.edges) {
+      s1_dense.edges != s1_csr.edges) {
     std::cerr << "MISMATCH: step-1 survivors diverged (csr "
               << s1_csr.vertices << "v/" << s1_csr.edges << "e, dense "
-              << s1_dense.vertices << "v/" << s1_dense.edges << "e, legacy "
-              << s1_legacy.vertices << "v/" << s1_legacy.edges << "e)\n";
+              << s1_dense.vertices << "v/" << s1_dense.edges << "e)\n";
     ok = false;
   }
   TablePrinter step1({"variant", "ns/edge", "time(s)", "kept-v", "kept-e"});
@@ -340,7 +316,6 @@ int main(int argc, char** argv) {
   std::cout << "step 1: (k+1)-core reduce, k=" << k << "\n";
   step1_row("csr", s1_csr);
   step1_row("dense-rows", s1_dense);
-  step1_row("legacy-induce", s1_legacy);
   step1.Print(std::cout);
   std::cout << "\n";
 
@@ -381,41 +356,12 @@ int main(int argc, char** argv) {
           const std::vector<VertexId>& right) {
         return dense_rows.Reduce(left, right, core_k);
       });
-  const ScanRun s2_legacy = Step2Scan(
-      reduced.graph, order, bound,
-      [&](const std::vector<VertexId>& left,
-          const std::vector<VertexId>& right) {
-        SubgraphReduce out;
-        const InducedSubgraph induced = reduced.graph.Induce(left, right);
-        out.loaded_edges = induced.graph.num_edges();
-        const CoreDecomposition cores = ComputeCores(induced.graph);
-        std::vector<std::uint8_t> kept_right(induced.graph.num_right(), 0);
-        for (VertexId r = 0; r < induced.graph.num_right(); ++r) {
-          if (cores.core[induced.graph.GlobalIndex(Side::kRight, r)] >=
-              core_k) {
-            kept_right[r] = 1;
-            ++out.core_vertices;
-          }
-        }
-        for (VertexId l = 0; l < induced.graph.num_left(); ++l) {
-          if (cores.core[induced.graph.GlobalIndex(Side::kLeft, l)] < core_k) {
-            continue;
-          }
-          ++out.core_vertices;
-          for (const VertexId r : induced.graph.Neighbors(Side::kLeft, l)) {
-            if (kept_right[r] != 0) ++out.core_edges;
-          }
-        }
-        return out;
-      });
-  if (!s2_dense.Matches(s2_csr) || !s2_legacy.Matches(s2_csr)) {
+  if (!s2_dense.Matches(s2_csr)) {
     std::cerr << "MISMATCH: step-2 core reduction diverged (csr "
               << s2_csr.totals.core_vertices << "v/"
               << s2_csr.totals.core_edges << "e, dense "
               << s2_dense.totals.core_vertices << "v/"
-              << s2_dense.totals.core_edges << "e, legacy "
-              << s2_legacy.totals.core_vertices << "v/"
-              << s2_legacy.totals.core_edges << "e)\n";
+              << s2_dense.totals.core_edges << "e)\n";
     ok = false;
   }
   const std::uint64_t s2_edges =
@@ -435,36 +381,11 @@ int main(int argc, char** argv) {
             << " centres, bound=" << bound << "\n";
   step2_row("csr", s2_csr);
   step2_row("dense-rows", s2_dense);
-  step2_row("legacy-induce", s2_legacy);
   step2.Print(std::cout);
   std::cout << "\n";
 
-  // ---- End-to-end headline: hbvMBB with the knob on vs off. ---------------
-  TablePrinter headline({"sparse_reduction", "best", "time(s)", "exact"});
-  std::uint32_t best[2] = {0, 0};
-  for (const bool sparse : {true, false}) {
-    HbvOptions options;
-    options.limits = SearchLimits::FromSeconds(timeout);
-    options.sparse_reduction = sparse;
-    WallTimer timer;
-    const MbbResult result = HbvMbb(g, options);
-    const double seconds = timer.Seconds();
-    best[sparse ? 0 : 1] = result.best.BalancedSize();
-    headline.AddRow({sparse ? "on" : "off",
-                     std::to_string(result.best.BalancedSize()),
-                     FormatSeconds(seconds, !result.exact),
-                     result.exact ? "yes" : "no"});
-  }
-  if (best[0] != best[1]) {
-    std::cerr << "MISMATCH: e2e best diverged (sparse " << best[0]
-              << ", legacy " << best[1] << ")\n";
-    ok = false;
-  }
-  std::cout << "end-to-end hbvMBB\n";
-  headline.Print(std::cout);
-
-  std::cout << "\nShape check: identical survivor/edge counts on every "
-               "variant; csr beats\ndense-rows by >=2x ns/edge on both "
+  std::cout << "Shape check: identical survivor/edge counts on both "
+               "variants; csr beats\ndense-rows by >=2x ns/edge on both "
                "steps at this density (the gap widens\nas density falls — "
                "dense rows pay O(n^2) regardless of |E|).\n";
   return ok ? 0 : 1;

@@ -49,10 +49,6 @@ void Usage() {
       "                              subtree layer, 0..20 (default 0 = auto)\n"
       "  --deterministic             thread-count-invariant parallel mode:\n"
       "                              identical result at any --threads\n"
-      "  --sparse-reduction on|off   run the hbv-family reduction phases\n"
-      "                              on the CSR substrate (default on;\n"
-      "                              off = legacy per-phase rebuilds,\n"
-      "                              results identical either way)\n"
       "  --memory-budget-mb N        per-solve arena byte budget in MiB;\n"
       "                              exceeding it returns the best\n"
       "                              incumbent found so far (exact: no)\n"
@@ -81,7 +77,7 @@ std::string CanonicalAlgoName(std::string name) {
 MbbResult Solve(const std::string& algorithm, const BipartiteGraph& g,
                 double timeout, std::uint32_t threads,
                 std::uint32_t spawn_depth, bool deterministic,
-                bool sparse_reduction, std::uint64_t memory_budget_mb,
+                std::uint64_t memory_budget_mb,
                 const std::string& fault_spec) {
   if (algorithm == "mvb") {
     MbbResult r;
@@ -92,7 +88,6 @@ MbbResult Solve(const std::string& algorithm, const BipartiteGraph& g,
   options.num_threads = threads;
   options.spawn_depth = spawn_depth;
   options.deterministic = deterministic;
-  options.sparse_reduction = sparse_reduction;
   options.memory_budget_bytes = memory_budget_mb << 20;
   options.fault_spec = fault_spec;
   // Anytime wrapper: a tripped budget (or injected allocation fault)
@@ -116,7 +111,6 @@ int main(int argc, char** argv) {
   std::uint32_t threads = 1;
   std::uint32_t spawn_depth = 0;
   bool deterministic = false;
-  bool sparse_reduction = true;
   std::uint64_t memory_budget_mb = 0;
   std::string fault_spec;
   bool stats = false;
@@ -208,19 +202,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--deterministic") {
       deterministic = true;
-    } else if (arg == "--sparse-reduction") {
-      const std::string value = next_value();
-      if (!missing_value) {
-        if (value == "on") {
-          sparse_reduction = true;
-        } else if (value == "off") {
-          sparse_reduction = false;
-        } else {
-          std::cerr << "--sparse-reduction expects 'on' or 'off', got '"
-                    << value << "'\n";
-          return 1;
-        }
-      }
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--list") {
@@ -278,8 +259,8 @@ int main(int argc, char** argv) {
 
   WallTimer timer;
   const MbbResult result = Solve(algorithm, g, timeout, threads, spawn_depth,
-                                 deterministic, sparse_reduction,
-                                 memory_budget_mb, fault_spec);
+                                 deterministic, memory_budget_mb,
+                                 fault_spec);
   const double seconds = timer.Seconds();
 
   std::cout << "algorithm: " << algorithm << "\n"

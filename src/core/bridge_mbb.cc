@@ -96,9 +96,7 @@ BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
     // Lines 7-10: degeneracy pruning. A (k+1) x (k+1) biclique forces a
     // subgraph of minimum degree k+1, so δ(H) <= k rules improvement out.
     InducedSubgraph induced =
-        options.sparse_reduction
-            ? CsrInduce(reduced, *lists.left, *lists.right, ws.scratch)
-            : reduced.Induce(*lists.left, *lists.right);
+        CsrInduce(reduced, *lists.left, *lists.right, ws.scratch);
     if (options.use_degeneracy_pruning) {
       slot.degeneracy = ComputeCores(induced.graph).degeneracy;
       if (slot.degeneracy <= snapshot) {

@@ -39,10 +39,7 @@ struct BridgeOptions {
   /// the local greedy on centres a live bound would have skipped. One
   /// worker is timing-independent already and keeps its live incumbent.
   bool deterministic = false;
-  /// Build the per-centre induced subgraphs through a reusable
-  /// `CsrScratch` (`CsrInduce`) instead of `BipartiteGraph::Induce`: same
-  /// subgraph bit for bit, no per-centre global edge sort. See
-  /// `HbvOptions::sparse_reduction`.
+  /// Unread: kept only because bench_record's replay still sets it.
   bool sparse_reduction = true;
   GreedyOptions greedy;
 };
@@ -62,8 +59,9 @@ struct BridgeOutcome {
 };
 
 /// Runs Algorithm 6: computes the requested vertex order of `reduced`,
-/// streams all vertex-centred subgraphs, prunes by size / degeneracy
-/// against the incumbent, refines the incumbent with a local greedy, and
+/// streams all vertex-centred subgraphs (each built through a per-worker
+/// `CsrScratch` by `CsrInduce`), prunes by size / degeneracy against the
+/// incumbent, refines the incumbent with a local greedy, and
 /// returns the surviving subgraphs (re-filtered against the final
 /// incumbent). Worker 0 runs on the caller's thread and pools its
 /// per-subgraph score scratch in `context`; pass the pipeline's shared

@@ -1,25 +1,12 @@
 #include "core/hbv_mbb.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "core/dense_mbb.h"
 #include "engine/search_context.h"
 
 namespace mbb {
-
-namespace {
-
-/// Identity reduction for variants that skip step 1's graph reduction.
-InducedSubgraph IdentityInduced(const BipartiteGraph& g) {
-  std::vector<VertexId> left(g.num_left());
-  std::iota(left.begin(), left.end(), 0);
-  std::vector<VertexId> right(g.num_right());
-  std::iota(right.begin(), right.end(), 0);
-  return g.Induce(left, right);
-}
-
-}  // namespace
 
 MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
   MbbResult out;
@@ -28,13 +15,14 @@ MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
   SearchContext ctx;
 
   // ---- Step 1: heuristic + reduction (Algorithm 5). -------------------
+  // Steps 2 and 3 run on `graph`: hMBB's reduced graph, or `g` itself (with
+  // identity ids) when the variant skips step 1's reduction.
   Biclique best_original;  // incumbent in g's ids
-  BipartiteGraph reduced;
-  std::vector<VertexId> left_map;
-  std::vector<VertexId> right_map;
+  HMbbOutcome h;
+  const BipartiteGraph* graph = &g;
 
   if (options.use_heuristic && options.use_core_optimizations) {
-    HMbbOutcome h = HMbb(g, options.greedy, options.sparse_reduction);
+    h = HMbb(g, options.greedy);
     out.stats.Merge(h.stats);
     best_original = std::move(h.best);
     if (h.solved_exactly) {
@@ -43,25 +31,18 @@ MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
       out.stats.terminated_step = 1;
       return out;
     }
-    reduced = std::move(h.reduced);
-    left_map = std::move(h.left_map);
-    right_map = std::move(h.right_map);
-  } else {
-    if (options.use_heuristic) {
-      // Heuristic without the core machinery: greedy only, no reduction,
-      // no Lemma 5 certificate.
-      best_original = GreedyMbb(g, DegreeScores(g), options.greedy);
-    }
-    InducedSubgraph identity = IdentityInduced(g);
-    reduced = std::move(identity.graph);
-    left_map = std::move(identity.left_to_old);
-    right_map = std::move(identity.right_to_old);
+    graph = &h.reduced;
+  } else if (options.use_heuristic) {
+    // Heuristic without the core machinery: greedy only, no reduction, no
+    // Lemma 5 certificate.
+    best_original = GreedyMbb(g, DegreeScores(g), options.greedy);
   }
   std::uint32_t best_size = best_original.BalancedSize();
 
-  const auto to_original = [&left_map, &right_map](Biclique b) {
-    for (VertexId& l : b.left) l = left_map[l];
-    for (VertexId& r : b.right) r = right_map[r];
+  const auto to_original = [&](Biclique b) {
+    if (graph == &g) return b;
+    for (VertexId& l : b.left) l = h.left_map[l];
+    for (VertexId& r : b.right) r = h.right_map[r];
     return b;
   };
 
@@ -72,8 +53,7 @@ MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
   bridge_options.greedy = options.greedy;
   bridge_options.num_threads = options.num_threads;
   bridge_options.deterministic = options.deterministic;
-  bridge_options.sparse_reduction = options.sparse_reduction;
-  BridgeOutcome bridge = BridgeMbb(reduced, best_size, bridge_options, &ctx);
+  BridgeOutcome bridge = BridgeMbb(*graph, best_size, bridge_options, &ctx);
   out.stats.Merge(bridge.stats);
   if (bridge.improved) {
     best_original = to_original(std::move(bridge.best));
@@ -92,12 +72,11 @@ MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
   verify_options.use_core_reduction = options.use_core_optimizations;
   verify_options.use_dense_search = options.use_dense_optimizations;
   verify_options.num_threads = options.num_threads;
-  verify_options.sparse_reduction = options.sparse_reduction;
   verify_options.dense.limits = options.limits;
   verify_options.dense.spawn_depth = options.spawn_depth;
   verify_options.dense.deterministic = options.deterministic;
   VerifyOutcome verify =
-      VerifyMbb(reduced, best_size, bridge.survivors, verify_options, &ctx);
+      VerifyMbb(*graph, best_size, bridge.survivors, verify_options, &ctx);
   out.stats.Merge(verify.stats);
   out.exact = verify.exact;
   if (verify.improved) {

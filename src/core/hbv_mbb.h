@@ -46,13 +46,7 @@ struct HbvOptions {
   /// Thread-count-invariant results for the parallel phases (see
   /// `DenseMbbOptions::deterministic` / `BridgeOptions::deterministic`).
   bool deterministic = false;
-  /// Run the reduction phases on the CSR substrate (`graph/csr.h`): step
-  /// 1's Lemma 4 reduction and the step-2 per-centre subgraph builds go
-  /// through a reusable `CsrScratch` (no global edge sorts), and step 3's
-  /// per-subgraph core reduction peels in place and materialises the dense
-  /// `BitMatrix` form only for the compacted kernel handed to the anchored
-  /// search. Survivors and the final witness are bit-identical to the
-  /// legacy path; disabling is an escape hatch for A/B benchmarking.
+  /// Unread: kept only because bench_record's replay still sets it.
   bool sparse_reduction = true;
 
   GreedyOptions greedy;

@@ -147,14 +147,13 @@ Biclique GreedyMbb(const BipartiteGraph& g,
 }
 
 HMbbOutcome HMbb(const BipartiteGraph& g, const GreedyOptions& options,
-                 bool sparse_reduction) {
+                 bool) {
   HMbbOutcome out;
   out.stats.terminated_step = 1;
-  // One reusable scratch serves both reduction rounds on the sparse path.
+  // One reusable scratch serves both reduction rounds.
   CsrScratch scratch;
   const auto reduce = [&](const KCoreVertices& kept) {
-    return sparse_reduction ? CsrInduce(g, kept.left, kept.right, scratch)
-                            : g.Induce(kept.left, kept.right);
+    return CsrInduce(g, kept.left, kept.right, scratch);
   };
 
   // Line 2: maximum-degree greedy.

@@ -200,9 +200,8 @@ struct SearchStats {
   /// searched / skipped.
   std::uint64_t subgraphs_skipped = 0;
 
-  // Sparse-first reduction pipeline observability. Counted identically on
-  // the CSR and the legacy reduction paths, except for the representation
-  // switch counter, which only the sparse path records.
+  // Sparse-first reduction pipeline observability (the CSR reductions of
+  // steps 1-3).
   /// Vertices deleted by step 1's Lemma 4 (k+1)-core reduction (original
   /// graph minus the reduced graph hbvMBB hands to step 2).
   std::uint64_t step1_vertices_removed = 0;
@@ -214,7 +213,6 @@ struct SearchStats {
   std::uint64_t core_reduction_vertices_removed = 0;
   /// Sparse→dense representation switches: compacted sparse kernels
   /// materialised as dense `BitMatrix` subgraphs for the anchored search.
-  /// Zero on the legacy path (`sparse_reduction = false`).
   std::uint64_t sparse_to_dense_switches = 0;
   /// Which step of Algorithm 4 produced + certified the final answer
   /// (1 = heuristic/reduction, 2 = bridge, 3 = verification); 0 = n/a.

@@ -9,7 +9,6 @@
 #include "engine/parallel.h"
 #include "engine/search_context.h"
 #include "graph/csr.h"
-#include "order/core_decomposition.h"
 
 namespace mbb {
 
@@ -57,43 +56,17 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
     const std::vector<VertexId>* left_list = &center_side_vertices;
     const std::vector<VertexId>* right_list = &other_side_vertices;
     if (s.center_side == Side::kRight) std::swap(left_list, right_list);
-    std::vector<VertexId> kept_left;
-    std::vector<VertexId> kept_right;
-    if (options.sparse_reduction) {
-      // Sparse path: peel H in place on the CSR scratch. The surviving
-      // set is the (best_size+1)-core — the same vertices, in the same
-      // list order, the core-number filter below keeps — and an empty
-      // core is exactly the δ(H) <= best_size degeneracy prune.
-      scratch.LoadSubgraph(reduced, *left_list, *right_list);
-      scratch.PeelToCore(best_size + 1);
-      if (scratch.NumAlive(Side::kLeft) == 0 ||
-          scratch.NumAlive(Side::kRight) == 0) {
-        ++stats.subgraphs_pruned_degeneracy;
-        return out;
-      }
-      kept_left = scratch.LiveOldIds(Side::kLeft);
-      kept_right = scratch.LiveOldIds(Side::kRight);
-    } else {
-      const InducedSubgraph induced =
-          reduced.Induce(*left_list, *right_list);
-      const CoreDecomposition cores = ComputeCores(induced.graph);
-      if (cores.degeneracy <= best_size) {
-        ++stats.subgraphs_pruned_degeneracy;
-        return out;
-      }
-      for (VertexId l = 0; l < induced.graph.num_left(); ++l) {
-        if (cores.core[induced.graph.GlobalIndex(Side::kLeft, l)] >
-            best_size) {
-          kept_left.push_back(induced.left_to_old[l]);
-        }
-      }
-      for (VertexId r = 0; r < induced.graph.num_right(); ++r) {
-        if (cores.core[induced.graph.GlobalIndex(Side::kRight, r)] >
-            best_size) {
-          kept_right.push_back(induced.right_to_old[r]);
-        }
-      }
+    // Peel H in place on the CSR scratch. An empty core is exactly the
+    // δ(H) <= best_size degeneracy prune.
+    scratch.LoadSubgraph(reduced, *left_list, *right_list);
+    scratch.PeelToCore(best_size + 1);
+    if (scratch.NumAlive(Side::kLeft) == 0 ||
+        scratch.NumAlive(Side::kRight) == 0) {
+      ++stats.subgraphs_pruned_degeneracy;
+      return out;
     }
+    std::vector<VertexId> kept_left = scratch.LiveOldIds(Side::kLeft);
+    std::vector<VertexId> kept_right = scratch.LiveOldIds(Side::kRight);
     stats.core_reduction_vertices_removed +=
         (left_list->size() + right_list->size()) -
         (kept_left.size() + kept_right.size());
@@ -118,7 +91,7 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
 
   // Lines 3-5: the representation switch — only the compacted kernel is
   // materialised in dense BitMatrix form for the anchored search.
-  if (options.sparse_reduction) ++stats.sparse_to_dense_switches;
+  ++stats.sparse_to_dense_switches;
   const DenseSubgraph dense = DenseSubgraph::Build(
       reduced, center_side_vertices, other_side_vertices, s.center_side);
   ++stats.subgraphs_searched;

@@ -14,7 +14,10 @@ namespace mbb {
 /// Configuration of the paper's Algorithm 8 (`verifyMBB`, step 3).
 struct VerifyOptions {
   /// Reduce each surviving subgraph to its (|A*|+1)-core before searching
-  /// (line 2); part of the bd2-ablated core optimizations.
+  /// (line 2); part of the bd2-ablated core optimizations. The survivor is
+  /// peeled in place on a reusable `CsrScratch`, and only the compacted
+  /// kernel is materialised as a dense `BitMatrix` subgraph for the
+  /// anchored search (counted in `SearchStats::sparse_to_dense_switches`).
   bool use_core_reduction = true;
   /// Use denseMBB (Algorithm 3) for the anchored exhaustive search; when
   /// false, the plain basicBB (Algorithm 1) runs instead — the bd3
@@ -31,14 +34,7 @@ struct VerifyOptions {
   /// search's work-stealing subtree layer (`dense.num_threads`) instead,
   /// so a single worst-case subgraph still uses every core.
   std::uint32_t num_threads = 1;
-  /// Run the per-subgraph core reduction on the CSR substrate: the
-  /// survivor is loaded into a reusable `CsrScratch`, peeled in place to
-  /// its (|A*|+1)-core (queue-based, O(|E(H)|)), and only the compacted
-  /// kernel is materialised as a dense `BitMatrix` subgraph for the
-  /// anchored search (counted in `SearchStats::sparse_to_dense_switches`).
-  /// Survivor pruning and kept-vertex order are bit-identical to the
-  /// legacy `Induce` + `ComputeCores` path. See
-  /// `HbvOptions::sparse_reduction`.
+  /// Unread: kept only because bench_record's replay still sets it.
   bool sparse_reduction = true;
   DenseMbbOptions dense;
 };

@@ -19,6 +19,7 @@ constexpr const char* kKnownPoints[] = {
     "alloc.search_context", // SearchContext slab growth -> bad_alloc
     "alloc.csr",            // CsrScratch buffer growth -> bad_alloc
     "worker.task",          // ParallelFor item, subtree task -> runtime_error
+    "worker.start",         // StealScheduler worker start -> system_error
     "serve.worker_stall",   // serve worker goes quiet (stall, ms=)
     "net.write.drop",       // transport write fails hard (peer gone)
     "net.write.transient",  // transport write fails once with EAGAIN

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -96,10 +97,21 @@ void StealScheduler::Run() {
   std::vector<std::thread> threads;
   threads.reserve(deques_.size() - 1);
   for (std::size_t worker = 1; worker < deques_.size(); ++worker) {
-    threads.emplace_back([this, worker, budget] {
-      const MemoryBudgetScope scope(budget);
-      WorkerLoop(worker);
-    });
+    // A worker that fails to start ends the start-up; the rest run without
+    // it. Its seeded deque still drains: thieves probe every deque.
+    try {
+      MBB_INJECT_FAULT("worker.start",
+                       throw std::system_error(
+                           std::make_error_code(
+                               std::errc::resource_unavailable_try_again),
+                           "injected fault: worker.start"));
+      threads.emplace_back([this, worker, budget] {
+        const MemoryBudgetScope scope(budget);
+        WorkerLoop(worker);
+      });
+    } catch (const std::system_error&) {
+      break;
+    }
   }
   WorkerLoop(0);  // the caller is worker 0
   for (std::thread& thread : threads) thread.join();

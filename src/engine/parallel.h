@@ -94,7 +94,10 @@ class StealScheduler {
   void Spawn(std::size_t worker, Task task);
 
   /// Runs until all outstanding tasks have completed. Must be called once,
-  /// from the thread that owns worker 0.
+  /// from the thread that owns worker 0. If a worker thread fails to start
+  /// (`std::system_error`, or the `worker.start` fault point), no later one
+  /// is started either; the started workers steal its seeded tasks, so
+  /// every task still runs exactly once.
   void Run();
 
   std::size_t num_workers() const { return deques_.size(); }

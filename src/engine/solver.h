@@ -72,15 +72,6 @@ struct SolverOptions {
   /// bit-identical at any `num_threads` (see
   /// `DenseMbbOptions::deterministic`). Costs some cross-worker pruning.
   bool deterministic = false;
-  /// Run the sparse pipeline's reduction phases (step-1 Lemma 4, the
-  /// step-2 bridge scan, verify's per-subgraph core reduction) on the CSR
-  /// substrate instead of rebuilding `BipartiteGraph`s per phase; the
-  /// dense `BitMatrix` form is built only for the compacted kernels the
-  /// anchored searches consume. Results are bit-identical either way
-  /// (pinned by the sparse-vs-dense parity suite in tests/test_csr.cc);
-  /// `false` is the A/B escape hatch the benches use. Only the hbv-family
-  /// solvers (`hbv`, `auto`, `bd*`, `topk`) read it.
-  bool sparse_reduction = true;
   /// Density threshold of the `auto` solver (denseMBB at or above it,
   /// hbvMBB below).
   double dense_threshold = 0.8;

@@ -45,17 +45,13 @@ class NamedSolver : public MbbSolver {
 };
 
 /// `target` with the unified execution policy installed: the budget from
-/// `Limits()`, the thread count, the fork cutoff, determinism, and (on the
-/// hbv-family structs that have it) the CSR reduction switch.
+/// `Limits()`, the thread count, the fork cutoff and determinism.
 template <typename Options>
 Options WithPolicy(Options target, const SolverOptions& options) {
   target.limits = options.Limits();
   target.num_threads = options.num_threads;
   target.spawn_depth = options.spawn_depth;
   target.deterministic = options.deterministic;
-  if constexpr (requires { target.sparse_reduction; }) {
-    target.sparse_reduction = options.sparse_reduction;
-  }
   return target;
 }
 

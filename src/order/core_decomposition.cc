@@ -83,11 +83,4 @@ KCoreVertices KCore(const CoreDecomposition& cores, const BipartiteGraph& g,
   return out;
 }
 
-InducedSubgraph KCoreSubgraph(const BipartiteGraph& g,
-                                      std::uint32_t k) {
-  const CoreDecomposition cores = ComputeCores(g);
-  const KCoreVertices kept = KCore(cores, g, k);
-  return g.Induce(kept.left, kept.right);
-}
-
 }  // namespace mbb

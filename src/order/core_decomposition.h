@@ -35,10 +35,6 @@ struct KCoreVertices {
 KCoreVertices KCore(const CoreDecomposition& cores, const BipartiteGraph& g,
                     std::uint32_t k);
 
-/// Convenience: induced subgraph of the k-core, with id mappings.
-InducedSubgraph KCoreSubgraph(const BipartiteGraph& g,
-                                      std::uint32_t k);
-
 }  // namespace mbb
 
 #endif  // MBB_ORDER_CORE_DECOMPOSITION_H_

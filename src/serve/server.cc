@@ -507,7 +507,10 @@ bool Server::RunJob(Job job, SearchContext* context) {
     fly.callback = job.callback;
     fly.answered = answered;
     fly.deadline = job.deadline;
-    fly.has_deadline = job.has_deadline;
+    // A job that expired in the queue is answered below without a solve
+    // (at most the greedy, bounded by its work cap): keep it off the
+    // deadline backstop.
+    fly.has_deadline = job.has_deadline && start < job.deadline;
     in_flight_.emplace(serial, std::move(fly));
   }
 
@@ -562,6 +565,14 @@ bool Server::RunJob(Job job, SearchContext* context) {
     response.exact = false;
     response.stop_cause = StopCauseName(StopCause::kDeadline);
     if (DegradesToGreedy(job.request.algo)) {
+      // The greedy never polls the token but is bounded by its work cap.
+      // Take the job off the deadline backstop, which would otherwise trip
+      // the token, see no heartbeat and abandon a healthy worker.
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = in_flight_.find(serial);
+        if (it != in_flight_.end()) it->second.has_deadline = false;
+      }
       const Biclique incumbent = HeuristicIncumbent(job.request.graph);
       response.size = incumbent.BalancedSize();
       response.left = incumbent.left;

@@ -133,11 +133,12 @@ TEST(CoreDecomposition, KCoreHasMinDegreeK) {
   }
 }
 
-TEST(CoreDecomposition, KCoreSubgraphAboveDegeneracyIsEmpty) {
+TEST(CoreDecomposition, KCoreAboveDegeneracyIsEmpty) {
   const BipartiteGraph g = testing::RandomGraph(30, 30, 0.2, 6);
   const CoreDecomposition d = ComputeCores(g);
-  const InducedSubgraph sub = KCoreSubgraph(g, d.degeneracy + 1);
-  EXPECT_EQ(sub.graph.NumVertices(), 0u);
+  const KCoreVertices kept = KCore(d, g, d.degeneracy + 1);
+  EXPECT_TRUE(kept.left.empty());
+  EXPECT_TRUE(kept.right.empty());
 }
 
 class CoreRandomTest : public ::testing::TestWithParam<std::uint64_t> {};

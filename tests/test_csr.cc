@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -290,51 +291,112 @@ TEST(FromEdgesValidation, TryFromEdgesReportsStructuredError) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse-vs-dense reduction parity: identical results with the CSR path on
-// and off, for every registered solver.
+// Reduction pins: the sparse pipeline's reduction counters, subgraph buckets
+// and `--deterministic` witnesses for hbv, bd1 and bd2. The values are
+// recorded, not derived, so a change to any CSR reduction (step-1 Lemma 4,
+// the step-2 per-centre builds, verify's per-survivor core peel) shows up
+// here even when the optimum stays the same.
 // ---------------------------------------------------------------------------
 
-void ExpectParity(const BipartiteGraph& g, const std::string& name) {
-  SolverOptions sparse;
-  sparse.sparse_reduction = true;
-  SolverOptions dense;
-  dense.sparse_reduction = false;
-  const MbbResult a = SolverRegistry::Solve(name, g, sparse);
-  const MbbResult b = SolverRegistry::Solve(name, g, dense);
-  EXPECT_EQ(a.best.BalancedSize(), b.best.BalancedSize())
-      << name << ": size diverged";
-  EXPECT_EQ(a.best.left, b.best.left) << name << ": witness diverged";
-  EXPECT_EQ(a.best.right, b.best.right) << name << ": witness diverged";
-  EXPECT_EQ(a.exact, b.exact) << name;
-  // The reduction accounting must be representation-independent too.
-  EXPECT_EQ(a.stats.step1_vertices_removed, b.stats.step1_vertices_removed)
-      << name;
-  EXPECT_EQ(a.stats.step1_edges_removed, b.stats.step1_edges_removed)
-      << name;
-  EXPECT_EQ(a.stats.core_reduction_vertices_removed,
-            b.stats.core_reduction_vertices_removed)
-      << name;
-  EXPECT_EQ(b.stats.sparse_to_dense_switches, 0u) << name;
-}
+struct ReductionPin {
+  const char* algo;
+  std::uint64_t step1_vertices_removed;
+  std::uint64_t step1_edges_removed;
+  std::uint64_t core_reduction_vertices_removed;
+  std::uint64_t sparse_to_dense_switches;
+  std::uint64_t total;
+  std::uint64_t pruned_size;
+  std::uint64_t pruned_degeneracy;
+  std::uint64_t searched;
+  int terminated_step;
+  std::vector<VertexId> left;
+  std::vector<VertexId> right;
+};
 
-TEST(SparseDenseParity, PaperExampleAllSolvers) {
-  const BipartiteGraph g = PaperExampleGraph();
-  for (const std::string& name : SolverRegistry::Instance().Names()) {
-    ExpectParity(g, name);
+/// Solves `g` with `pin.algo` in deterministic mode at one and four
+/// threads. One thread must match every pinned value; four threads must
+/// return the same witness and reduction counters (their bucket split may
+/// differ: the frozen snapshots prune against the incoming bound).
+void ExpectReductionPin(const BipartiteGraph& g, const ReductionPin& pin,
+                        const std::string& graph_label) {
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SolverOptions options;
+    options.num_threads = threads;
+    options.deterministic = true;
+    const MbbResult result = SolverRegistry::Solve(pin.algo, g, options);
+    const SearchStats& stats = result.stats;
+    const std::string label =
+        graph_label + " " + pin.algo + " T" + std::to_string(threads);
+    EXPECT_TRUE(result.exact) << label;
+    EXPECT_EQ(result.best.left, pin.left) << label;
+    EXPECT_EQ(result.best.right, pin.right) << label;
+    EXPECT_EQ(stats.step1_vertices_removed, pin.step1_vertices_removed)
+        << label;
+    EXPECT_EQ(stats.step1_edges_removed, pin.step1_edges_removed) << label;
+    EXPECT_EQ(stats.core_reduction_vertices_removed,
+              pin.core_reduction_vertices_removed)
+        << label;
+    EXPECT_EQ(stats.sparse_to_dense_switches, pin.sparse_to_dense_switches)
+        << label;
+    EXPECT_EQ(stats.terminated_step, pin.terminated_step) << label;
+    if (threads != 1) continue;
+    EXPECT_EQ(stats.subgraphs_total, pin.total) << label;
+    EXPECT_EQ(stats.subgraphs_pruned_size, pin.pruned_size) << label;
+    EXPECT_EQ(stats.subgraphs_pruned_degeneracy, pin.pruned_degeneracy)
+        << label;
+    EXPECT_EQ(stats.subgraphs_searched, pin.searched) << label;
   }
 }
 
-TEST(SparseDenseParity, RandomGraphsAllSolvers) {
-  const std::vector<std::string> names = SolverRegistry::Instance().Names();
-  for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    // Vary shape and density across the 30 instances.
-    const std::uint32_t nl = 12 + static_cast<std::uint32_t>(seed % 5) * 2;
-    const std::uint32_t nr = 12 + static_cast<std::uint32_t>(seed % 3) * 3;
-    const double density = 0.08 + 0.02 * static_cast<double>(seed % 8);
-    const BipartiteGraph g = RandomGraph(nl, nr, density, seed);
-    for (const std::string& name : names) {
-      ExpectParity(g, name);
-    }
+TEST(ReductionPins, PaperExample) {
+  const BipartiteGraph g = PaperExampleGraph();
+  const std::vector<VertexId> left = {2, 3};
+  const std::vector<VertexId> right = {3, 2};
+  const ReductionPin pins[] = {
+      {"hbv", 0, 0, 0, 0, 0, 0, 0, 0, 1, left, right},
+      {"bd1", 0, 0, 0, 0, 12, 12, 0, 0, 2, left, right},
+      {"bd2", 0, 0, 0, 0, 12, 12, 0, 0, 2, left, right},
+  };
+  for (const ReductionPin& pin : pins) ExpectReductionPin(g, pin, "paper");
+}
+
+TEST(ReductionPins, SparseRandoms) {
+  struct Case {
+    std::uint32_t nl;
+    std::uint32_t nr;
+    double density;
+    std::uint64_t seed;
+    ReductionPin pins[3];
+  };
+  const Case cases[] = {
+      // Step 1 removes most of the graph; hbv finishes in step 2.
+      {60, 60, 0.10, 1,
+       {{"hbv", 36, 99, 0, 0, 84, 46, 38, 0, 2, {40, 59, 44}, {10, 23, 50}},
+        {"bd1", 0, 0, 0, 0, 120, 54, 66, 0, 2, {42, 2, 48}, {23, 20, 42}},
+        {"bd2", 0, 0, 0, 46, 120, 74, 0, 46, 3, {40, 59, 44},
+         {10, 23, 50}}}},
+      // Two survivors reach verify's core peel.
+      {100, 100, 0.18, 10,
+       {{"hbv", 0, 0, 62, 2, 200, 96, 102, 2, 3, {16, 56, 13, 75},
+         {13, 58, 88, 98}},
+        {"bd1", 0, 0, 62, 2, 200, 96, 102, 2, 3, {0, 16, 56, 74},
+         {13, 80, 10, 98}},
+        {"bd2", 0, 0, 0, 104, 200, 96, 0, 104, 3, {16, 56, 13, 75},
+         {13, 58, 88, 98}}}},
+      {70, 90, 0.22, 13,
+       {{"hbv", 0, 0, 597, 23, 160, 94, 43, 23, 3, {7, 32, 34, 41},
+         {78, 72, 23, 75}},
+        {"bd1", 0, 0, 597, 23, 160, 94, 43, 23, 3, {34, 7, 41, 32},
+         {78, 72, 23, 75}},
+        {"bd2", 0, 0, 0, 66, 160, 94, 0, 66, 3, {7, 32, 34, 41},
+         {78, 72, 23, 75}}}},
+  };
+  for (const Case& c : cases) {
+    const BipartiteGraph g = RandomGraph(c.nl, c.nr, c.density, c.seed);
+    const std::string label = std::to_string(c.nl) + "x" +
+                              std::to_string(c.nr) + " seed " +
+                              std::to_string(c.seed);
+    for (const ReductionPin& pin : c.pins) ExpectReductionPin(g, pin, label);
   }
 }
 

@@ -170,8 +170,9 @@ TEST_F(FaultsTest, KnownPointsCoverTheInjectedSubsystems) {
   const std::vector<std::string> points = faults::KnownPoints();
   for (const char* expected :
        {"alloc.bit_matrix", "alloc.search_context", "alloc.csr",
-        "worker.task", "serve.worker_stall", "net.write.drop",
-        "net.write.transient", "net.read.disconnect", "cache.insert"}) {
+        "worker.task", "worker.start", "serve.worker_stall",
+        "net.write.drop", "net.write.transient", "net.read.disconnect",
+        "cache.insert"}) {
     EXPECT_NE(std::find(points.begin(), points.end(), expected),
               points.end())
         << expected;
@@ -332,6 +333,40 @@ TEST_F(FaultsTest, WorkerTaskFiresOncePerItemAndPerSubtreeTask) {
     // The deterministic task tree does not depend on timing.
     if (run.deterministic) EXPECT_EQ(result.stats.tasks_spawned, 23u);
   }
+}
+
+TEST_F(FaultsTest, WorkerStartFailureLeavesNoTaskBehind) {
+  // Reference first, with nothing armed.
+  const DenseSubgraph dense =
+      testing::WholeGraphDense(RandomUniform(48, 48, 0.85, 7));
+  DenseMbbOptions options;
+  options.num_threads = 1;
+  options.spawn_depth = 4;
+  options.deterministic = true;
+  const MbbResult reference = DenseMbbSolve(dense, options);
+
+  // The second of three worker starts fails: workers 0 and 1 run, and the
+  // claim loops seeded on workers 2 and 3 are stolen.
+  ASSERT_TRUE(faults::Configure("worker.start:nth=2"));
+  std::vector<std::atomic<int>> runs(100);
+  ParallelFor(4, runs.size(), [&](std::size_t, std::size_t item) {
+    runs[item].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (std::size_t item = 0; item < runs.size(); ++item) {
+    EXPECT_EQ(runs[item].load(), 1) << "item " << item;
+  }
+  // No start is attempted after the failed one.
+  EXPECT_EQ(faults::HitCount("worker.start"), 2u);
+  EXPECT_EQ(faults::FireCount("worker.start"), 1u);
+
+  faults::Reset();
+  ASSERT_TRUE(faults::Configure("worker.start:nth=2"));
+  options.num_threads = 4;
+  const MbbResult result = DenseMbbSolve(dense, options);
+  EXPECT_EQ(faults::FireCount("worker.start"), 1u);
+  EXPECT_TRUE(result.exact);
+  EXPECT_EQ(result.best.left, reference.best.left);
+  EXPECT_EQ(result.best.right, reference.best.right);
 }
 
 // --- Serving: degraded answers, watchdog, chaos-facing counters -----------
@@ -532,6 +567,34 @@ TEST_F(FaultsTest, WatchdogLeavesAHealthySlowSolveAlone) {
   EXPECT_FALSE(response.exact);
   EXPECT_EQ(response.stop_cause, "deadline");
   EXPECT_EQ(server.Counters().watchdog_abandoned, 0u);
+}
+
+TEST_F(FaultsTest, ExpiredJobKeepsItsGreedyAnswerUnderTheWatchdog) {
+  // A job whose deadline has lapsed before its solve starts is answered by
+  // the greedy incumbent, which never polls its token (~35 ms on this
+  // graph in a release build on a 4-core x86 host). The watchdog's
+  // deadline backstop must not take that for a stalled worker.
+  ServerOptions options = FaultServer(1);
+  options.cache_capacity = 0;
+  options.watchdog_poll_ms = 1;
+  options.watchdog_stall_ms = 10;
+  // Holds the job past its deadline before the expiry check.
+  options.fault_spec = "serve.worker_stall:nth=1,ms=2";
+  Server server(options);
+
+  Request request =
+      SolveRequest("expired", RandomUniform(1500, 1500, 0.5, 1));
+  request.deadline_ms = 1;
+  request.use_cache = false;
+  const Response response = server.SubmitAndWait(request);
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_TRUE(response.degraded);
+  EXPECT_EQ(response.stop_cause, "deadline");
+  EXPECT_GT(response.size, 0u);
+  server.Shutdown();
+  const auto counters = server.Counters();
+  EXPECT_EQ(counters.expired_in_queue, 1u);
+  EXPECT_EQ(counters.watchdog_abandoned, 0u);
 }
 
 // --- Transports -----------------------------------------------------------
