@@ -31,8 +31,13 @@ SideLists Split(const CenteredSubgraph& s) {
 /// reduced on the caller in rank order, which is what makes the scan's
 /// answer independent of worker timing.
 struct CenterScan {
-  enum class Outcome : std::uint8_t { kKept, kPrunedSize, kPrunedDegeneracy };
-  Outcome outcome = Outcome::kPrunedSize;
+  enum class Outcome : std::uint8_t {
+    kSkipped,  // never scanned: a limit fired first
+    kKept,
+    kPrunedSize,
+    kPrunedDegeneracy,
+  };
+  Outcome outcome = Outcome::kSkipped;
   CenteredSubgraph subgraph;         // only populated when kept
   std::uint32_t degeneracy = 0;      // of the induced subgraph (re-filter)
   Biclique improvement;              // reduced-graph ids; empty when none
@@ -69,6 +74,8 @@ BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
   const bool frozen = options.deterministic && num_workers > 1;
   std::vector<CenterScan> results(num_centers);
   SharedBound shared(initial_best_size);
+  SearchLimits limits = options.limits;
+  FleetStop fleet(limits, num_workers);
 
   struct WorkerState {
     CenteredWorkspace workspace;
@@ -79,6 +86,9 @@ BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
 
   ParallelFor(num_workers, num_centers, [&](std::size_t worker,
                                             std::size_t item) {
+    // A deadline seen here trips the fleet's token for every worker.
+    limits.Poll();
+    if (fleet.SkipIfStopped(worker)) return;
     WorkerState& ws = workers[worker];
     CenterScan& slot = results[item];
     const std::uint32_t snapshot =
@@ -126,10 +136,14 @@ BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
   });
 
   // Rank-order reduce: adopt strictly-greater improvements (the first
-  // maximal winner in scan order) and bucket the prunes.
+  // maximal winner in scan order) and bucket the prunes. Skipped centres
+  // were counted in the fleet's shards.
   out.stats.subgraphs_total = num_centers;
+  out.exact = fleet.Finish(out.stats);
   for (CenterScan& slot : results) {
     switch (slot.outcome) {
+      case CenterScan::Outcome::kSkipped:
+        break;
       case CenterScan::Outcome::kPrunedSize:
         ++out.stats.subgraphs_pruned_size;
         break;

@@ -15,7 +15,7 @@ class SearchContext;
 
 /// Configuration of the paper's Algorithm 6 (`bridgeMBB`, step 2 of the
 /// sparse framework).
-struct BridgeOptions {
+struct BridgeOptions : ExecPolicy {
   /// Total search order for generating vertex-centred subgraphs.
   /// Bidegeneracy is the paper's choice; degree / degeneracy are the bd4 /
   /// bd5 ablations.
@@ -26,19 +26,6 @@ struct BridgeOptions {
   /// Run the local core-based greedy on surviving subgraphs to tighten the
   /// incumbent before verification ("heuLocal" in Figure 4).
   bool use_local_heuristic = true;
-  /// Workers for the centred-subgraph scan (0 = one per hardware thread,
-  /// 1 = one worker scanning in order on the caller's thread). Workers
-  /// prune against a shared atomic incumbent snapshot and the reduce picks
-  /// the lowest-rank winner, so the returned incumbent and survivor set
-  /// match the one-worker scan exactly; only the per-bucket prune
-  /// attribution can shift with timing.
-  std::uint32_t num_threads = 1;
-  /// With more than one worker, prune against the incoming incumbent only
-  /// (no cross-worker snapshot), making every counter — not just the
-  /// result — identical at every such thread count, at the cost of running
-  /// the local greedy on centres a live bound would have skipped. One
-  /// worker is timing-independent already and keeps its live incumbent.
-  bool deterministic = false;
   /// Unread: kept only because bench_record's replay still sets it.
   bool sparse_reduction = true;
   GreedyOptions greedy;
@@ -56,6 +43,10 @@ struct BridgeOutcome {
   /// Centred subgraphs that could not be pruned; step 3 must search them.
   std::vector<CenteredSubgraph> survivors;
   SearchStats stats;
+  /// False when a limit stopped the scan: the centres it never reached are
+  /// counted in `stats.subgraphs_skipped`, with the cause in
+  /// `stats.stop_cause`, and `survivors` does not cover them.
+  bool exact = true;
 };
 
 /// Runs Algorithm 6: computes the requested vertex order of `reduced`,
@@ -63,7 +54,9 @@ struct BridgeOutcome {
 /// `CsrScratch` by `CsrInduce`), prunes by size / degeneracy against the
 /// incumbent, refines the incumbent with a local greedy, and
 /// returns the surviving subgraphs (re-filtered against the final
-/// incumbent). Worker 0 runs on the caller's thread and pools its
+/// incumbent). `options.limits` is polled before each centre (the order
+/// itself is not polled); once it fires, the remaining centres are
+/// skipped. Worker 0 runs on the caller's thread and pools its
 /// per-subgraph score scratch in `context`; pass the pipeline's shared
 /// `SearchContext`, or nullptr to give it a transient one like the other
 /// workers.

@@ -19,7 +19,8 @@ class SearchContext;
 ///    vertex missing the most (>= 3) neighbours, which yields the (4,1)
 ///    branching factor behind the O*(1.3803^n) bound. When disabled the
 ///    searcher branches on the first candidate of the larger side.
-struct DenseMbbOptions {
+/// The inherited `ExecPolicy` sets the limits and the subtree layer.
+struct DenseMbbOptions : ExecPolicy {
   bool use_reductions = true;
   bool use_poly_case = true;
   bool use_missing_branching = true;
@@ -34,26 +35,6 @@ struct DenseMbbOptions {
   /// pointee must outlive the solve call; null (the default) keeps the
   /// searcher fully self-contained.
   SharedBound* shared_bound = nullptr;
-  /// Workers for work-stealing subtree parallelism inside this one search
-  /// (0 = one per hardware thread, 1 = the plain sequential recursion).
-  /// Branch nodes at depth < `spawn_depth` fork their inclusion branch as a
-  /// stealable task; deeper recursion is sequential, so the SIMD hot loops
-  /// run unchanged.
-  std::uint32_t num_threads = 1;
-  /// Depth cutoff for forking. 0 = auto: chosen from the root candidate
-  /// count only (never from the thread count, so the task tree — and with
-  /// it the deterministic mode's answer — is independent of `num_threads`);
-  /// small instances resolve to 0 and stay fully sequential.
-  std::uint32_t spawn_depth = 0;
-  /// Deterministic parallel mode: every forked subtree prunes against its
-  /// spawner's incumbent snapshot instead of the live shared bound, and the
-  /// final reduce picks the winner that comes first in sequential
-  /// depth-first order. The returned biclique is then bit-identical at
-  /// every thread count (at the cost of fewer cross-worker prunes). Without
-  /// it only the best *size* is thread-count-invariant — which subtree's
-  /// equally-sized witness wins depends on timing.
-  bool deterministic = false;
-  SearchLimits limits;
 };
 
 /// Runs denseMBB on the whole subgraph. `initial_best` is a balanced-size

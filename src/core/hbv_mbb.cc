@@ -48,20 +48,22 @@ MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
 
   // ---- Step 2: bridge to locally dense subgraphs (Algorithm 6). -------
   BridgeOptions bridge_options;
+  static_cast<ExecPolicy&>(bridge_options) = options;
   bridge_options.order = options.order;
   bridge_options.use_degeneracy_pruning = options.use_core_optimizations;
   bridge_options.greedy = options.greedy;
-  bridge_options.num_threads = options.num_threads;
-  bridge_options.deterministic = options.deterministic;
   BridgeOutcome bridge = BridgeMbb(*graph, best_size, bridge_options, &ctx);
   out.stats.Merge(bridge.stats);
   if (bridge.improved) {
     best_original = to_original(std::move(bridge.best));
     best_size = bridge.best_size;
   }
-  if (bridge.survivors.empty()) {
+  // A limit that stopped the scan leaves unscanned centres unverified:
+  // the incumbent is the (inexact) answer and step 3 does not run.
+  if (bridge.survivors.empty() || !bridge.exact) {
     out.best = std::move(best_original);
     out.best.MakeBalanced();
+    out.exact = bridge.exact;
     out.stats.terminated_step =
         std::max(out.stats.terminated_step, 2);
     return out;
@@ -72,9 +74,7 @@ MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
   verify_options.use_core_reduction = options.use_core_optimizations;
   verify_options.use_dense_search = options.use_dense_optimizations;
   verify_options.num_threads = options.num_threads;
-  verify_options.dense.limits = options.limits;
-  verify_options.dense.spawn_depth = options.spawn_depth;
-  verify_options.dense.deterministic = options.deterministic;
+  static_cast<ExecPolicy&>(verify_options.dense) = options;
   VerifyOutcome verify =
       VerifyMbb(*graph, best_size, bridge.survivors, verify_options, &ctx);
   out.stats.Merge(verify.stats);
@@ -89,18 +89,12 @@ MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
 }
 
 MbbResult FindMaximumBalancedBiclique(const BipartiteGraph& g,
-                                      const HbvOptions& options,
-                                      double dense_threshold) {
-  const std::uint32_t n = g.NumVertices();
-  if (n == 0) return {};
-  if (g.Density() >= dense_threshold) {
-    const DenseSubgraph dense = DenseSubgraph::Whole(g);
+                                      const HbvOptions& options) {
+  if (g.NumVertices() == 0) return {};
+  if (g.Density() >= kDenseDensityThreshold) {
     DenseMbbOptions dense_options;
-    dense_options.limits = options.limits;
-    dense_options.num_threads = options.num_threads;
-    dense_options.spawn_depth = options.spawn_depth;
-    dense_options.deterministic = options.deterministic;
-    return DenseMbbSolve(dense, dense_options);
+    static_cast<ExecPolicy&>(dense_options) = options;
+    return DenseMbbSolve(DenseSubgraph::Whole(g), dense_options);
   }
   return HbvMbb(g, options);
 }

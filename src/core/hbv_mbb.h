@@ -21,7 +21,10 @@ namespace mbb {
 ///  | bd3     | `use_dense_optimizations = false`                        |
 ///  | bd4     | `order = VertexOrderKind::kDegree`                       |
 ///  | bd5     | `order = VertexOrderKind::kDegeneracy`                   |
-struct HbvOptions {
+///
+/// The inherited `ExecPolicy` reaches steps 2 and 3; step 1 is one
+/// sequential scan and polls no limit.
+struct HbvOptions : ExecPolicy {
   /// Step 1 (hMBB): global heuristics + Lemma 4 reduction + Lemma 5 early
   /// termination. Disabled = bd1.
   bool use_heuristic = true;
@@ -34,23 +37,10 @@ struct HbvOptions {
   /// Total search order for the vertex-centred subgraphs (bd4/bd5 use
   /// degree / degeneracy).
   VertexOrderKind order = VertexOrderKind::kBidegeneracy;
-  /// Worker threads for step 2's centred-subgraph scan, step 3's survivor
-  /// fan-out, and — when step 3 has a single hard survivor — the anchored
-  /// search's work-stealing subtree layer: 1 = sequential, 0 = one per
-  /// hardware thread. Step 1 is a single cheap scan and always runs
-  /// sequentially.
-  std::uint32_t num_threads = 1;
-  /// Fork cutoff for subtree parallelism inside anchored dense searches
-  /// (see `DenseMbbOptions::spawn_depth`); 0 = auto.
-  std::uint32_t spawn_depth = 0;
-  /// Thread-count-invariant results for the parallel phases (see
-  /// `DenseMbbOptions::deterministic` / `BridgeOptions::deterministic`).
-  bool deterministic = false;
   /// Unread: kept only because bench_record's replay still sets it.
   bool sparse_reduction = true;
 
   GreedyOptions greedy;
-  SearchLimits limits;
 
   static HbvOptions Bd1() { HbvOptions o; o.use_heuristic = false; return o; }
   static HbvOptions Bd2() {
@@ -81,12 +71,15 @@ struct HbvOptions {
 /// exact (false only when `options.limits` fired).
 MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options = {});
 
-/// One-call convenience API: picks denseMBB for dense inputs (density >=
-/// `dense_threshold`, defaulting to the paper's 0.8 working point for
-/// sufficiently dense graphs) and hbvMBB otherwise.
+/// Density at and above which `FindMaximumBalancedBiclique` (the `auto`
+/// solver, and each `topk` round) runs denseMBB instead of hbvMBB: the
+/// paper's working point for sufficiently dense graphs.
+inline constexpr double kDenseDensityThreshold = 0.8;
+
+/// One-call convenience API: denseMBB (with `options`' execution policy)
+/// for inputs of density >= `kDenseDensityThreshold`, hbvMBB otherwise.
 MbbResult FindMaximumBalancedBiclique(const BipartiteGraph& g,
-                                      const HbvOptions& options = {},
-                                      double dense_threshold = 0.8);
+                                      const HbvOptions& options = {});
 
 }  // namespace mbb
 

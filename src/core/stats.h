@@ -137,6 +137,10 @@ struct SearchLimits {
     return has_deadline && std::chrono::steady_clock::now() >= deadline;
   }
 
+  /// `CheckStop` at a poll boundary: reads the clock on every call, for
+  /// loops whose iterations cost far more than a clock read.
+  StopCause Poll() const { return CheckStop(1); }
+
   /// The shared cooperative limit check with its cause: kNone while the
   /// search may continue, otherwise why it must abort — `max_recursions`
   /// exceeded, the shared stop token tripped, or the deadline passed
@@ -164,6 +168,37 @@ struct SearchLimits {
     }
     return StopCause::kNone;
   }
+};
+
+/// Execution policy of a solve: the same four settings for every phase
+/// that takes them (`DenseMbbOptions`, `HbvOptions` and `BridgeOptions`
+/// inherit it), so a policy is copied between phases by one assignment.
+/// Algorithm knobs — ablation switches, orders, greedy tuning — stay in
+/// the derived structs.
+struct ExecPolicy {
+  /// Deadline, recursion cap and stop token. Branch-and-bound searches
+  /// poll them every `kDeadlinePollInterval` recursions; step 2 of the
+  /// sparse framework polls before each centre.
+  SearchLimits limits;
+  /// Worker threads: 1 = sequential on the caller's thread, 0 = one per
+  /// hardware thread. They run denseMBB's work-stealing subtree layer,
+  /// step 2's centre scan and step 3's survivor fan-out (whose single
+  /// worker hands them to the anchored search's subtree layer instead).
+  std::uint32_t num_threads = 1;
+  /// Depth below which denseMBB branch nodes fork their inclusion branch
+  /// as a stealable task. 0 = auto from the root candidate count (never
+  /// from `num_threads`, so the task tree is thread-count-invariant);
+  /// small instances resolve to 0 and stay sequential. Phases without a
+  /// subtree layer ignore it.
+  std::uint32_t spawn_depth = 0;
+  /// Thread-count-invariant results. Forked subtrees prune against their
+  /// spawner's incumbent snapshot, and the parallel scans against the
+  /// incoming bound, instead of the live shared bound; every reduce picks
+  /// the winner that comes first in sequential order. The returned
+  /// biclique — and step 2's counters — are then identical at every
+  /// thread count, at the cost of fewer cross-worker prunes. Without it
+  /// only the best size is invariant.
+  bool deterministic = false;
 };
 
 /// Counters recorded by the searches. Powers the paper's Figure 5 (average
@@ -247,6 +282,8 @@ struct SearchStats {
   /// Accumulates `other` into this object (terminated_step/timed_out are
   /// combined by max / logical-or).
   void Merge(const SearchStats& other);
+
+  bool operator==(const SearchStats&) const = default;
 };
 
 /// Outcome of an exact (or heuristic) MBB computation. `best` is always a

@@ -33,8 +33,8 @@ TopKResult TopKMbb(const BipartiteGraph& g, const TopKOptions& options) {
     const InducedSubgraph induced = g.Induce(left_alive, right_alive);
     if (induced.graph.num_edges() == 0) break;
 
-    const MbbResult result = FindMaximumBalancedBiclique(
-        induced.graph, options.hbv, options.dense_threshold);
+    const MbbResult result =
+        FindMaximumBalancedBiclique(induced.graph, options.hbv);
     out.stats.Merge(result.stats);
     if (!result.exact) out.exact = false;
     if (result.best.BalancedSize() == 0) break;

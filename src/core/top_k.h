@@ -12,12 +12,11 @@ namespace mbb {
 
 /// Configuration of the top-k balanced-biclique variant: the `hbv` budget
 /// and tuning apply to every peel round (one shared deadline covers the
-/// whole run), `dense_threshold` picks denseMBB vs hbvMBB per round the
-/// same way the `auto` solver does.
+/// whole run); each round picks denseMBB vs hbvMBB the way the `auto`
+/// solver does (`FindMaximumBalancedBiclique`).
 struct TopKOptions {
   std::uint32_t k = 3;
   HbvOptions hbv;
-  double dense_threshold = 0.8;
 };
 
 /// Result of `TopKMbb`. The bicliques are vertex-disjoint, in `g`'s ids,

@@ -202,7 +202,9 @@ void FleetStop::Report(const MbbResult& result) {
 bool FleetStop::Finish(SearchStats& out) const {
   for (const SearchStats& shard : shards_) out.Merge(shard);
   if (out.stop_cause == StopCause::kNone) out.stop_cause = token_->cause();
-  return !inexact_.load(std::memory_order_relaxed);
+  const bool exact = !inexact_.load(std::memory_order_relaxed);
+  if (!exact) out.timed_out = true;
+  return exact;
 }
 
 }  // namespace mbb

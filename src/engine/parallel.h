@@ -153,7 +153,7 @@ class FleetStop {
   void Report(const MbbResult& result);
 
   /// Merges the shards into `out` (after the join) and returns whether
-  /// every search ran to completion.
+  /// every search ran to completion; when not, `out` is marked timed out.
   bool Finish(SearchStats& out) const;
 
  private:

@@ -6,11 +6,6 @@
 #include <string>
 #include <string_view>
 
-#include "baselines/adapted.h"
-#include "baselines/pols.h"
-#include "baselines/sbmnas.h"
-#include "core/dense_mbb.h"
-#include "core/hbv_mbb.h"
 #include "core/stats.h"
 #include "graph/bipartite_graph.h"
 
@@ -20,14 +15,14 @@ class SearchContext;
 
 /// Unified configuration for every solver behind the `SolverRegistry`.
 ///
-/// The shared resource fields (`time_limit_seconds`, `max_recursions`,
-/// `initial_bound`, `stats_sink`) subsume the `SearchLimits` plumbing the
-/// per-algorithm entry points take directly: adapters derive one
-/// `SearchLimits` via `Limits()` and overwrite the `limits` members of the
-/// embedded per-algorithm option structs, so a caller sets the budget in
-/// exactly one place. The embedded structs (`dense`, `hbv`, ...) expose
-/// the per-algorithm knobs — ablation switches, greedy tuning, heuristic
-/// seeds — and only the adapter for the matching algorithm reads them.
+/// A variant is picked only by its registry key (`bd3`, `adp2`, ...);
+/// adapters start from the default (or preset) per-algorithm structs, so
+/// no algorithm knob is settable here. What is settable is the solve's
+/// budget (`time_limit_seconds`, `max_recursions`, `stop_token`), its
+/// parallelism (`num_threads`, `spawn_depth`, `deterministic`) and the
+/// per-solve resources and problem parameters below. `Policy()` turns the
+/// first two groups into the one `ExecPolicy` (core/stats.h) that every
+/// phase inherits, so a caller sets the budget in exactly one place.
 struct SolverOptions {
   /// Wall-clock budget in seconds; <= 0 means unlimited. Polled
   /// cooperatively (see `SearchLimits::kDeadlinePollInterval`).
@@ -55,26 +50,19 @@ struct SolverOptions {
   /// the hook a long-lived server uses to reuse per-worker scratch across
   /// queries. Not thread-safe: one context per concurrent solve.
   SearchContext* context = nullptr;
-  /// Worker threads for the parallel phases: work-stealing subtree
-  /// parallelism inside `dense` (and the anchored searches it backs), the
-  /// bridge scan and verification fan-out in `hbv`/`auto`/`bd*`, and the
+  /// `ExecPolicy::num_threads`, for the parallel phases of `dense` (and
+  /// the anchored searches it backs), `hbv`/`auto`/`topk`/`bd*`, and the
   /// per-centre fan-out of the FMBE-based baselines (`fmbe`, `adp1`,
-  /// `adp3`). 1 = sequential, 0 = one per hardware thread. Inherently
-  /// single-threaded solvers (`basic`, `imbea`, the heuristics) accept but
-  /// ignore it — their result is identical at any setting.
+  /// `adp3`). Inherently single-threaded solvers (`basic`, `imbea`, the
+  /// heuristics) accept but ignore it — their result is identical at any
+  /// setting.
   std::uint32_t num_threads = 1;
-  /// Fork cutoff for the work-stealing subtree layer inside denseMBB
-  /// searches (see `DenseMbbOptions::spawn_depth`); 0 = auto from the
-  /// candidate-set size.
+  /// `ExecPolicy::spawn_depth`; 0 = auto from the candidate-set size.
   std::uint32_t spawn_depth = 0;
-  /// Thread-count-invariant parallel mode: fixes the split schedule and
-  /// reduction order of every parallel phase so the returned biclique is
-  /// bit-identical at any `num_threads` (see
-  /// `DenseMbbOptions::deterministic`). Costs some cross-worker pruning.
+  /// `ExecPolicy::deterministic`: the returned biclique is identical at
+  /// any `num_threads`. The FMBE fan-out (`fmbe`, `adp1`, `adp3`) does not
+  /// take it.
   bool deterministic = false;
-  /// Density threshold of the `auto` solver (denseMBB at or above it,
-  /// hbvMBB below).
-  double dense_threshold = 0.8;
   /// Per-solve memory byte budget, metered at the arena layer (`BitMatrix`
   /// and `CsrScratch` charges; see engine/budget.h). 0 = unlimited.
   /// `SolverRegistry::Solve` installs the budget around the solve and
@@ -87,15 +75,6 @@ struct SolverOptions {
   /// into `faults::Configure` next to the `MBB_FAULT_SPEC` env variable
   /// and the CLI/server flags. Empty = leave the active spec alone.
   std::string fault_spec;
-
-  /// Per-algorithm knobs. The `limits` members inside these structs are
-  /// ignored — adapters overwrite them from `Limits()`.
-  DenseMbbOptions dense;
-  HbvOptions hbv;
-  PolsOptions pols;
-  SbmnasOptions sbmnas;
-  /// Variant run by the `adapted` solver (`adp1`..`adp4` aliases pin it).
-  AdpVariant adapted_variant = AdpVariant::kAdp3;
 
   /// Side targets of the `sizecon` solver (the §4.2 size-constrained
   /// (a, b)-biclique decision problem): it reports a biclique with
@@ -117,6 +96,11 @@ struct SolverOptions {
     limits.max_recursions = max_recursions;
     limits.stop_token = stop_token;
     return limits;
+  }
+
+  /// The budget and parallelism as the policy the phases inherit.
+  ExecPolicy Policy() const {
+    return {Limits(), num_threads, spawn_depth, deterministic};
   }
 
   static SolverOptions WithTimeout(double seconds) {

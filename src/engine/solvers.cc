@@ -44,17 +44,6 @@ class NamedSolver : public MbbSolver {
   std::string_view name_;
 };
 
-/// `target` with the unified execution policy installed: the budget from
-/// `Limits()`, the thread count, the fork cutoff and determinism.
-template <typename Options>
-Options WithPolicy(Options target, const SolverOptions& options) {
-  target.limits = options.Limits();
-  target.num_threads = options.num_threads;
-  target.spawn_depth = options.spawn_depth;
-  target.deterministic = options.deterministic;
-  return target;
-}
-
 /// The `initial_bound` contract for the adapters whose algorithm takes no
 /// incumbent: an answer that does not beat the bound is reported empty.
 MbbResult AboveBound(MbbResult result, std::uint32_t bound) {
@@ -73,9 +62,10 @@ class DenseSolver final : public NamedSolver<true> {
                   const SolverOptions& options) const override {
     SearchContext local;
     SearchContext* ctx = options.context != nullptr ? options.context : &local;
-    return DenseMbbSolve(DenseSubgraph::Whole(g),
-                         WithPolicy(options.dense, options),
-                         options.initial_bound, ctx);
+    DenseMbbOptions dense;
+    static_cast<ExecPolicy&>(dense) = options.Policy();
+    return DenseMbbSolve(DenseSubgraph::Whole(g), dense, options.initial_bound,
+                         ctx);
   }
 };
 
@@ -95,26 +85,22 @@ class BasicSolver final : public NamedSolver<true> {
 // Sparse framework (Algorithm 4) and its breakdown presets.
 // ---------------------------------------------------------------------------
 
-/// `hbv` runs the caller's `options.hbv` toggles; the `bd1`..`bd5` aliases
-/// pin the ablation preset and keep only the caller's greedy tuning.
+/// `hbv` runs the default `HbvOptions`; the `bd1`..`bd5` aliases run the
+/// ablation presets.
 class HbvSolver final : public NamedSolver<true> {
  public:
-  HbvSolver(std::string_view name, HbvOptions (*preset)())
-      : NamedSolver(name), preset_(preset) {}
+  HbvSolver(std::string_view name, HbvOptions preset)
+      : NamedSolver(name), preset_(std::move(preset)) {}
 
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    HbvOptions hbv = options.hbv;
-    if (preset_ != nullptr) {
-      hbv = preset_();
-      hbv.greedy = options.hbv.greedy;
-    }
-    return AboveBound(HbvMbb(g, WithPolicy(std::move(hbv), options)),
-                      options.initial_bound);
+    HbvOptions hbv = preset_;
+    static_cast<ExecPolicy&>(hbv) = options.Policy();
+    return AboveBound(HbvMbb(g, hbv), options.initial_bound);
   }
 
  private:
-  HbvOptions (*preset_)();
+  HbvOptions preset_;
 };
 
 /// Density-dispatching convenience solver (`FindMaximumBalancedBiclique`).
@@ -123,10 +109,10 @@ class AutoSolver final : public NamedSolver<true> {
   using NamedSolver::NamedSolver;
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    return AboveBound(
-        FindMaximumBalancedBiclique(g, WithPolicy(options.hbv, options),
-                                    options.dense_threshold),
-        options.initial_bound);
+    HbvOptions hbv;
+    static_cast<ExecPolicy&>(hbv) = options.Policy();
+    return AboveBound(FindMaximumBalancedBiclique(g, hbv),
+                      options.initial_bound);
   }
 };
 
@@ -162,24 +148,21 @@ class FmbeSolver final : public NamedSolver<true> {
   }
 };
 
-/// `adapted` reads `options.adapted_variant`; `adp1`..`adp4` pin it.
+/// `adp1`..`adp4`; `adapted` is an alias of `adp3`.
 class AdaptedSolver final : public NamedSolver<true> {
  public:
-  AdaptedSolver(std::string_view name, int variant)
+  AdaptedSolver(std::string_view name, AdpVariant variant)
       : NamedSolver(name), variant_(variant) {}
 
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    const AdpVariant variant = variant_ >= 0
-                                   ? static_cast<AdpVariant>(variant_)
-                                   : options.adapted_variant;
     return AboveBound(
-        AdpSolve(g, variant, options.Limits(), options.num_threads),
+        AdpSolve(g, variant_, options.Limits(), options.num_threads),
         options.initial_bound);
   }
 
  private:
-  int variant_;  // -1: take the variant from SolverOptions
+  AdpVariant variant_;
 };
 
 // ---------------------------------------------------------------------------
@@ -217,8 +200,7 @@ class TopKSolver final : public NamedSolver<true> {
                   const SolverOptions& options) const override {
     TopKOptions topk;
     topk.k = options.top_k;
-    topk.hbv = WithPolicy(options.hbv, options);
-    topk.dense_threshold = options.dense_threshold;
+    static_cast<ExecPolicy&>(topk.hbv) = options.Policy();
     TopKResult found = TopKMbb(g, topk);
     MbbResult result;
     if (!found.bicliques.empty()) result.best = found.bicliques.front();
@@ -238,7 +220,7 @@ class PolsSolver final : public NamedSolver<false> {
   using NamedSolver::NamedSolver;
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    PolsOptions pols = options.pols;
+    PolsOptions pols;
     pols.limits = options.Limits();
     MbbResult result;
     result.best = PolsSolve(g, pols);
@@ -252,7 +234,7 @@ class SbmnasSolver final : public NamedSolver<false> {
   using NamedSolver::NamedSolver;
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
-    SbmnasOptions sbmnas = options.sbmnas;
+    SbmnasOptions sbmnas;
     sbmnas.limits = options.Limits();
     MbbResult result;
     result.best = SbmnasSolve(g, sbmnas);
@@ -290,21 +272,21 @@ SolverRegistry::Factory MakeFactory(std::string_view name, Args... args) {
 
 MBB_REGISTER_SOLVER(dense, DenseSolver);
 MBB_REGISTER_SOLVER(basic, BasicSolver);
-MBB_REGISTER_SOLVER(hbv, HbvSolver, nullptr);
-MBB_REGISTER_SOLVER(bd1, HbvSolver, &HbvOptions::Bd1);
-MBB_REGISTER_SOLVER(bd2, HbvSolver, &HbvOptions::Bd2);
-MBB_REGISTER_SOLVER(bd3, HbvSolver, &HbvOptions::Bd3);
-MBB_REGISTER_SOLVER(bd4, HbvSolver, &HbvOptions::Bd4);
-MBB_REGISTER_SOLVER(bd5, HbvSolver, &HbvOptions::Bd5);
+MBB_REGISTER_SOLVER(hbv, HbvSolver, HbvOptions{});
+MBB_REGISTER_SOLVER(bd1, HbvSolver, HbvOptions::Bd1());
+MBB_REGISTER_SOLVER(bd2, HbvSolver, HbvOptions::Bd2());
+MBB_REGISTER_SOLVER(bd3, HbvSolver, HbvOptions::Bd3());
+MBB_REGISTER_SOLVER(bd4, HbvSolver, HbvOptions::Bd4());
+MBB_REGISTER_SOLVER(bd5, HbvSolver, HbvOptions::Bd5());
 MBB_REGISTER_SOLVER(auto, AutoSolver);
 MBB_REGISTER_SOLVER(extbbclq, ExtBbclqSolver);
 MBB_REGISTER_SOLVER(imbea, ImbeaSolver);
 MBB_REGISTER_SOLVER(fmbe, FmbeSolver);
-MBB_REGISTER_SOLVER(adapted, AdaptedSolver, -1);
-MBB_REGISTER_SOLVER(adp1, AdaptedSolver, 0);
-MBB_REGISTER_SOLVER(adp2, AdaptedSolver, 1);
-MBB_REGISTER_SOLVER(adp3, AdaptedSolver, 2);
-MBB_REGISTER_SOLVER(adp4, AdaptedSolver, 3);
+MBB_REGISTER_SOLVER(adapted, AdaptedSolver, AdpVariant::kAdp3);
+MBB_REGISTER_SOLVER(adp1, AdaptedSolver, AdpVariant::kAdp1);
+MBB_REGISTER_SOLVER(adp2, AdaptedSolver, AdpVariant::kAdp2);
+MBB_REGISTER_SOLVER(adp3, AdaptedSolver, AdpVariant::kAdp3);
+MBB_REGISTER_SOLVER(adp4, AdaptedSolver, AdpVariant::kAdp4);
 MBB_REGISTER_SOLVER(pols, PolsSolver);
 MBB_REGISTER_SOLVER(sbmnas, SbmnasSolver);
 MBB_REGISTER_SOLVER(brute, BruteSolver);

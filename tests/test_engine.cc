@@ -130,7 +130,8 @@ TEST(SolverOptions, RecursionCapFiresThroughRegistry) {
 
 TEST(SolverOptions, EveryExactSolverReportsWhyItStoppedEarly) {
   // A solve that gives up exactness must say which limit fired: the server
-  // reads `stop_cause` to answer a cancelled query and count it.
+  // reads `stop_cause` to answer a cancelled query and count it, and the
+  // eval tables read `timed_out` to print the timeout marker.
   const BipartiteGraph g = testing::RandomGraph(20, 20, 0.6, 11);
   const SolverRegistry& registry = SolverRegistry::Instance();
   for (const std::string& name : registry.Names()) {
@@ -141,6 +142,7 @@ TEST(SolverOptions, EveryExactSolverReportsWhyItStoppedEarly) {
     const MbbResult r_cap = SolverRegistry::Solve(name, g, capped);
     if (!r_cap.exact) {
       EXPECT_NE(r_cap.stats.stop_cause, StopCause::kNone) << name;
+      EXPECT_TRUE(r_cap.stats.timed_out) << name;
     }
 
     SolverOptions cancelled;
@@ -149,6 +151,55 @@ TEST(SolverOptions, EveryExactSolverReportsWhyItStoppedEarly) {
     const MbbResult r_stop = SolverRegistry::Solve(name, g, cancelled);
     if (!r_stop.exact) {
       EXPECT_EQ(r_stop.stats.stop_cause, StopCause::kExternal) << name;
+      EXPECT_TRUE(r_stop.stats.timed_out) << name;
+    }
+  }
+}
+
+TEST(SolverOptions, PreTrippedStopSkipsEveryStep2Centre) {
+  // Step 1 does not solve this graph, so the solve reaches step 2. A stop
+  // requested before the solve starts must end the scan before its first
+  // centre, not after the last one.
+  const BipartiteGraph g = testing::RandomGraph(200, 200, 0.05, 1);
+  ASSERT_GT(SolverRegistry::Solve("hbv", g).stats.subgraphs_total, 0u);
+
+  SolverOptions options;
+  options.stop_token = std::make_shared<StopToken>();
+  options.stop_token->RequestStop(StopCause::kExternal);
+  const MbbResult r = SolverRegistry::Solve("hbv", g, options);
+  EXPECT_FALSE(r.exact);
+  EXPECT_EQ(r.stats.stop_cause, StopCause::kExternal);
+  EXPECT_GT(r.stats.subgraphs_total, 0u);
+  EXPECT_EQ(r.stats.subgraphs_skipped, r.stats.subgraphs_total);
+  EXPECT_EQ(r.stats.subgraphs_searched, 0u);
+  EXPECT_EQ(r.stats.terminated_step, 2);
+  EXPECT_TRUE(r.best.IsBicliqueIn(g));
+}
+
+TEST(VariantSolvers, AdaptedIsAnAliasOfAdp3) {
+  std::vector<BipartiteGraph> graphs = {
+      testing::PaperExampleGraph(), testing::RandomGraph(20, 20, 0.4, 7),
+      testing::RandomGraph(24, 24, 0.5, 3),
+      testing::RandomGraph(30, 30, 0.3, 11)};
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const BipartiteGraph& g = graphs[i];
+    // adp3's step-1 heuristic (SBMNAS) is already optimal on these
+    // inputs, so no FMBE scope raises the shared bound and the
+    // four-worker runs below do not depend on worker timing.
+    ASSERT_EQ(SolverRegistry::Solve("sbmnas", g).best.BalancedSize(),
+              SolverRegistry::Solve("dense", g).best.BalancedSize())
+        << "graph " << i;
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SolverOptions options;
+      options.num_threads = threads;
+      options.deterministic = threads > 1;
+      const MbbResult alias = SolverRegistry::Solve("adapted", g, options);
+      const MbbResult adp3 = SolverRegistry::Solve("adp3", g, options);
+      EXPECT_EQ(alias.best.left, adp3.best.left) << "graph " << i;
+      EXPECT_EQ(alias.best.right, adp3.best.right) << "graph " << i;
+      EXPECT_EQ(alias.exact, adp3.exact) << "graph " << i;
+      EXPECT_TRUE(alias.stats == adp3.stats)
+          << "graph " << i << " threads " << threads;
     }
   }
 }
