@@ -86,8 +86,13 @@ BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
 
   ParallelFor(num_workers, num_centers, [&](std::size_t worker,
                                             std::size_t item) {
-    // A deadline seen here trips the fleet's token for every worker.
-    limits.Poll();
+    // A deadline seen here trips the fleet's token for every worker. The
+    // clock is read only when a deadline is set, and the watchdog heartbeat
+    // (`StopToken::Touch`) is left to the searches: one shared counter
+    // bumped per centre would bounce its cache line between the workers.
+    if (limits.DeadlinePassed()) {
+      limits.stop_token->RequestStop(StopCause::kDeadline);
+    }
     if (fleet.SkipIfStopped(worker)) return;
     WorkerState& ws = workers[worker];
     CenterScan& slot = results[item];
@@ -162,7 +167,8 @@ BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
 
   // Re-filter survivors against the final incumbent, in rank order:
   // heuristic hits later in the scan can retroactively prune earlier
-  // survivors.
+  // survivors. A stopped scan hands step 3 nothing, so what survives it
+  // counts as skipped: every centre lands in exactly one bucket.
   for (CenterScan& slot : results) {
     if (slot.outcome != CenterScan::Outcome::kKept) continue;
     const SideLists lists = Split(slot.subgraph);
@@ -173,6 +179,10 @@ BridgeOutcome BridgeMbb(const BipartiteGraph& reduced,
     if (options.use_degeneracy_pruning &&
         slot.degeneracy <= out.best_size) {
       ++out.stats.subgraphs_pruned_degeneracy;
+      continue;
+    }
+    if (!out.exact) {
+      ++out.stats.subgraphs_skipped;
       continue;
     }
     out.survivors.push_back(std::move(slot.subgraph));

@@ -43,9 +43,9 @@ struct BridgeOutcome {
   /// Centred subgraphs that could not be pruned; step 3 must search them.
   std::vector<CenteredSubgraph> survivors;
   SearchStats stats;
-  /// False when a limit stopped the scan: the centres it never reached are
-  /// counted in `stats.subgraphs_skipped`, with the cause in
-  /// `stats.stop_cause`, and `survivors` does not cover them.
+  /// False when a limit stopped the scan: the centres it never reached and
+  /// those it kept are counted in `stats.subgraphs_skipped`, with the cause
+  /// in `stats.stop_cause`, and `survivors` is empty.
   bool exact = true;
 };
 
@@ -54,9 +54,9 @@ struct BridgeOutcome {
 /// `CsrScratch` by `CsrInduce`), prunes by size / degeneracy against the
 /// incumbent, refines the incumbent with a local greedy, and
 /// returns the surviving subgraphs (re-filtered against the final
-/// incumbent). `options.limits` is polled before each centre (the order
-/// itself is not polled); once it fires, the remaining centres are
-/// skipped. Worker 0 runs on the caller's thread and pools its
+/// incumbent). The stop token and deadline of `options.limits` are
+/// checked before each centre (the order itself is not polled); once one
+/// fires, the remaining centres are skipped. Worker 0 runs on the caller's thread and pools its
 /// per-subgraph score scratch in `context`; pass the pipeline's shared
 /// `SearchContext`, or nullptr to give it a transient one like the other
 /// workers.

@@ -58,9 +58,9 @@ MbbResult HbvMbb(const BipartiteGraph& g, const HbvOptions& options) {
     best_original = to_original(std::move(bridge.best));
     best_size = bridge.best_size;
   }
-  // A limit that stopped the scan leaves unscanned centres unverified:
-  // the incumbent is the (inexact) answer and step 3 does not run.
-  if (bridge.survivors.empty() || !bridge.exact) {
+  // A limit that stopped the scan leaves no survivors (its unscanned and
+  // kept centres count as skipped): the incumbent is the answer, inexact.
+  if (bridge.survivors.empty()) {
     out.best = std::move(best_original);
     out.best.MakeBalanced();
     out.exact = bridge.exact;

@@ -137,10 +137,6 @@ struct SearchLimits {
     return has_deadline && std::chrono::steady_clock::now() >= deadline;
   }
 
-  /// `CheckStop` at a poll boundary: reads the clock on every call, for
-  /// loops whose iterations cost far more than a clock read.
-  StopCause Poll() const { return CheckStop(1); }
-
   /// The shared cooperative limit check with its cause: kNone while the
   /// search may continue, otherwise why it must abort — `max_recursions`
   /// exceeded, the shared stop token tripped, or the deadline passed
@@ -178,7 +174,7 @@ struct SearchLimits {
 struct ExecPolicy {
   /// Deadline, recursion cap and stop token. Branch-and-bound searches
   /// poll them every `kDeadlinePollInterval` recursions; step 2 of the
-  /// sparse framework polls before each centre.
+  /// sparse framework checks the token and deadline before each centre.
   SearchLimits limits;
   /// Worker threads: 1 = sequential on the caller's thread, 0 = one per
   /// hardware thread. They run denseMBB's work-stealing subtree layer,
@@ -230,9 +226,10 @@ struct SearchStats {
   std::uint64_t subgraphs_pruned_size = 0;
   std::uint64_t subgraphs_pruned_degeneracy = 0;
   std::uint64_t subgraphs_searched = 0;
-  /// Survivors verifyMBB never searched because a limit fired first; every
-  /// survivor lands in exactly one of pruned-size / pruned-degeneracy /
-  /// searched / skipped.
+  /// Subgraphs never searched because a limit fired first: centres a
+  /// stopped step 2 did not reach or kept, and survivors verifyMBB did not
+  /// search. Every centre lands in exactly one of pruned-size /
+  /// pruned-degeneracy / searched / skipped.
   std::uint64_t subgraphs_skipped = 0;
 
   // Sparse-first reduction pipeline observability (the CSR reductions of

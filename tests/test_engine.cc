@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -176,6 +177,44 @@ TEST(SolverOptions, PreTrippedStopSkipsEveryStep2Centre) {
   EXPECT_TRUE(r.best.IsBicliqueIn(g));
 }
 
+TEST(SolverOptions, DeadlineMidStep2CountsEveryCentreOnce) {
+  // bd4's degree order is cheap, step 1 does not solve this graph and
+  // step 3 has few survivors, so the step-2 scan takes most of the solve:
+  // a deadline at a fraction of the full solve time stops the scan after
+  // it kept some centres for step 3. Those must count as skipped, like
+  // the centres the scan never reached.
+  const BipartiteGraph g = testing::RandomGraph(800, 800, 0.05, 1);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SolverOptions options;
+    options.num_threads = threads;
+    const auto start = std::chrono::steady_clock::now();
+    const MbbResult full = SolverRegistry::Solve("bd4", g, options);
+    const std::chrono::duration<double> full_time =
+        std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(full.exact);
+    ASSERT_EQ(full.stats.terminated_step, 3);
+    bool stopped_mid_scan = false;
+    for (const double fraction : {0.25, 0.5, 0.75}) {
+      options.time_limit_seconds = fraction * full_time.count();
+      const MbbResult r = SolverRegistry::Solve("bd4", g, options);
+      const SearchStats& s = r.stats;
+      EXPECT_TRUE(r.best.IsBicliqueIn(g));
+      EXPECT_EQ(s.subgraphs_pruned_size + s.subgraphs_pruned_degeneracy +
+                    s.subgraphs_searched + s.subgraphs_skipped,
+                s.subgraphs_total)
+          << "threads " << threads << " fraction " << fraction;
+      if (r.exact) continue;
+      EXPECT_EQ(s.stop_cause, StopCause::kDeadline);
+      EXPECT_TRUE(s.timed_out);
+      if (s.terminated_step == 2 && s.subgraphs_skipped > 0 &&
+          s.subgraphs_skipped < s.subgraphs_total) {
+        stopped_mid_scan = true;
+      }
+    }
+    EXPECT_TRUE(stopped_mid_scan) << "threads " << threads;
+  }
+}
+
 TEST(VariantSolvers, AdaptedIsAnAliasOfAdp3) {
   std::vector<BipartiteGraph> graphs = {
       testing::PaperExampleGraph(), testing::RandomGraph(20, 20, 0.4, 7),
@@ -183,9 +222,13 @@ TEST(VariantSolvers, AdaptedIsAnAliasOfAdp3) {
       testing::RandomGraph(30, 30, 0.3, 11)};
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const BipartiteGraph& g = graphs[i];
-    // adp3's step-1 heuristic (SBMNAS) is already optimal on these
-    // inputs, so no FMBE scope raises the shared bound and the
-    // four-worker runs below do not depend on worker timing.
+    // The four-worker comparison relies on adp3's step-1 heuristic
+    // (SBMNAS) being optimal on these inputs: then no FMBE scope raises
+    // the shared bound and the counters do not depend on worker timing.
+    // FMBE ignores `deterministic` (see the FOUND entry on `FmbeSolve` in
+    // CHANGES.md), so this assertion fails, rather than the comparison
+    // flaking, if SBMNAS stops being optimal here; once FMBE honours
+    // `deterministic`, the assertion can go.
     ASSERT_EQ(SolverRegistry::Solve("sbmnas", g).best.BalancedSize(),
               SolverRegistry::Solve("dense", g).best.BalancedSize())
         << "graph " << i;
