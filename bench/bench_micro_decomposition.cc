@@ -1,6 +1,6 @@
 /// Decomposition and order microbenchmarks: core peeling, the paper's
-/// Algorithm 7 bicore peeling (and its exact variant), order computation
-/// and centred-subgraph statistics.
+/// Algorithm 7 bicore peeling, order computation and centred-subgraph
+/// statistics.
 
 #include <benchmark/benchmark.h>
 
@@ -48,16 +48,6 @@ void BM_BicoreDecomposition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BicoreDecomposition)->Arg(1024)->Arg(8192);
-
-void BM_BicoreDecompositionExact(benchmark::State& state) {
-  const BipartiteGraph g = SparseGraph(
-      static_cast<std::uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    BicoreDecomposition d = ComputeBicoresExact(g);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(BM_BicoreDecompositionExact)->Arg(1024)->Arg(4096);
 
 void BM_VertexOrder(benchmark::State& state) {
   const BipartiteGraph g = SparseGraph(4096);

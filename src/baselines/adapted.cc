@@ -25,7 +25,8 @@ const char* ToString(AdpVariant variant) {
 }
 
 MbbResult AdpSolve(const BipartiteGraph& g, AdpVariant variant,
-                   const SearchLimits& limits, std::uint32_t num_threads) {
+                   const SearchLimits& limits, std::uint32_t num_threads,
+                   bool deterministic) {
   const bool use_sbmnas =
       variant == AdpVariant::kAdp3 || variant == AdpVariant::kAdp4;
   const bool use_fmbe =
@@ -69,7 +70,8 @@ MbbResult AdpSolve(const BipartiteGraph& g, AdpVariant variant,
   // Only the FMBE engine fans out: iMBEA's single consensus-tree traversal
   // has no independent per-scope unit of work to distribute.
   MbbResult search =
-      use_fmbe ? FmbeSolve(reduced.graph, limits, best_size, num_threads)
+      use_fmbe ? FmbeSolve(reduced.graph, limits, best_size, num_threads,
+                           deterministic)
                : ImbeaSolve(reduced.graph, limits, best_size);
   out.stats.Merge(search.stats);
   out.exact = search.exact;

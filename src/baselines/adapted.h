@@ -26,9 +26,11 @@ const char* ToString(AdpVariant variant);
 /// (adp1/adp3; 1 = sequential, 0 = one per hardware thread); the iMBEA
 /// engine (adp2/adp4) enumerates maximal bicliques through one shared
 /// consensus-tree traversal and stays sequential at any setting.
+/// `deterministic` reaches the FMBE fan-out (see `FmbeSolve`).
 MbbResult AdpSolve(const BipartiteGraph& g, AdpVariant variant,
                    const SearchLimits& limits = {},
-                   std::uint32_t num_threads = 1);
+                   std::uint32_t num_threads = 1,
+                   bool deterministic = false);
 
 }  // namespace mbb
 

@@ -19,12 +19,18 @@ namespace mbb {
 /// snapshotted once per scope at claim time; improvements published through
 /// the shared bound are picked up by every scope claimed after them.
 /// Pruning against any bound between the initial and final incumbent is
-/// sound, so the reduced size is the same at any worker count.
+/// sound, so the reduced size is the same at any worker count. In
+/// deterministic mode with several workers every snapshot is frozen at
+/// `initial_best`, as in `BridgeMbb`: each scope's search, and so every
+/// counter, no longer depends on which scopes finished first.
 MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits,
-                    std::uint32_t initial_best, std::uint32_t num_threads) {
+                    std::uint32_t initial_best, std::uint32_t num_threads,
+                    bool deterministic) {
   const VertexOrder order = ComputeVertexOrder(g, VertexOrderKind::kDegree);
   const std::size_t num_workers =
       EffectiveThreadCount(num_threads, order.order.size());
+  // One worker's live snapshot is already timing-independent.
+  const bool frozen = deterministic && num_workers > 1;
   MbbResult out;
   out.stats.terminated_step = 0;
 
@@ -50,7 +56,8 @@ MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits,
         SearchStats& stats = fleet.shard(worker);
         ++stats.subgraphs_total;
         if (fleet.SkipIfStopped(worker)) return;
-        const std::uint32_t snapshot = shared_bound.Load();
+        const std::uint32_t snapshot =
+            frozen ? initial_best : shared_bound.Load();
         const CenteredSubgraph s = BuildCenteredSubgraph(
             g, order, order.order[item], state.workspace);
         if (std::min(s.same_side.size(), s.other_side.size()) <= snapshot) {
@@ -70,7 +77,7 @@ MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits,
         if (scoped.best.BalancedSize() > snapshot) {
           results[item].best = dense.ToOriginal(scoped.best);
           results[item].best_size = scoped.best.BalancedSize();
-          shared_bound.RaiseTo(results[item].best_size);
+          if (!frozen) shared_bound.RaiseTo(results[item].best_size);
         }
       });
   out.exact = fleet.Finish(out.stats);

@@ -21,10 +21,14 @@ namespace mbb {
 /// snapshots a shared atomic incumbent when claimed, and the first search
 /// a limit interrupts stops the whole fleet, whose best biclique so far is
 /// still returned. The returned size matches the one-thread run; between
-/// equally-sized optima the witness may differ with interleaving.
+/// equally-sized optima the witness may differ with interleaving, unless
+/// `deterministic` (`ExecPolicy::deterministic`) freezes every scope's
+/// snapshot at `initial_best`: the witness and counters are then the same
+/// on every run at a given thread count.
 MbbResult FmbeSolve(const BipartiteGraph& g, const SearchLimits& limits = {},
                     std::uint32_t initial_best = 0,
-                    std::uint32_t num_threads = 1);
+                    std::uint32_t num_threads = 1,
+                    bool deterministic = false);
 
 }  // namespace mbb
 

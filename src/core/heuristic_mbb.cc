@@ -10,13 +10,54 @@ namespace mbb {
 
 namespace {
 
+/// Scratch of one `GreedyMbb` call, shared by its seeds. Every entry is
+/// back to zero when a seed's run returns, so each run touches only the
+/// vertices near its seed.
+struct GreedyScratch {
+  explicit GreedyScratch(const BipartiteGraph& g)
+      : count(std::max(g.num_left(), g.num_right()), 0),
+        in_a(count.size(), 0),
+        in_b(count.size(), 0) {}
+
+  std::vector<std::uint32_t> count;  // seed side: |N(w) ∩ B|
+  std::vector<std::uint8_t> in_a;    // seed side: 1 in A
+  std::vector<std::uint8_t> in_b;    // other side: 1 in B, 2 while marked
+  std::vector<VertexId> candidates;  // seed side: the seed's 2-hop set
+};
+
+/// The vertex a greedy round adds to A, with its common-neighbour count.
+struct GreedyPick {
+  bool found = false;
+  VertexId w = 0;
+  std::uint32_t count = 0;
+  std::uint32_t score = 0;
+};
+
 /// Grows a biclique from seed `(side, seed)`: A starts as {seed}, B as
-/// N(seed); each step adds the same-side vertex keeping the most of B,
-/// shrinking B to the common neighbourhood, until B is no larger than A.
-/// Returns the best balanced biclique encountered along the way.
+/// N(seed); each round adds the same-side vertex keeping the most of B
+/// (ties: higher score, then the smaller largest common neighbour in B,
+/// then the smaller id), shrinking B to the common neighbourhood, until B
+/// is no larger than A. Returns the best balanced biclique encountered.
+///
+/// `count[w] = |N(w) ∩ B|` is built once from B = N(seed) and decremented
+/// over N(r) for each r leaving B. The tie order is the one a per-round
+/// scan of B's adjacency (B and every adjacency list sorted) produces: the
+/// first candidate to reach the top (count, score) wins. `work` still
+/// charges Σ_{r∈B} deg(r) per round, as that scan would; the round that
+/// reaches `work_cap` is the last and replays that scan over the prefix of
+/// B the cap allows.
 Biclique GreedyFromSeed(const BipartiteGraph& g, Side side, VertexId seed,
                         std::span<const std::uint32_t> scores,
-                        std::uint64_t work_cap) {
+                        std::uint64_t work_cap, GreedyScratch& scratch) {
+  const Side other = Opposite(side);
+  std::vector<std::uint32_t>& count = scratch.count;
+  std::vector<std::uint8_t>& in_a = scratch.in_a;
+  std::vector<std::uint8_t>& in_b = scratch.in_b;
+  std::vector<VertexId>& candidates = scratch.candidates;
+  const auto score_of = [&](VertexId w) -> std::uint32_t {
+    return scores.empty() ? 0 : scores[g.GlobalIndex(side, w)];
+  };
+
   std::vector<VertexId> a{seed};
   std::vector<VertexId> b(g.Neighbors(side, seed).begin(),
                           g.Neighbors(side, seed).end());
@@ -33,60 +74,122 @@ Biclique GreedyFromSeed(const BipartiteGraph& g, Side side, VertexId seed,
   };
   update_best(a, b);
 
-  // Scratch: common-neighbour counts over the seed's side, stamped per
-  // round to avoid O(n) clears.
-  std::vector<std::uint32_t> count(g.NumVertices(side), 0);
-  std::vector<std::uint32_t> stamp(g.NumVertices(side), ~std::uint32_t{0});
-  std::vector<bool> in_a(g.NumVertices(side), false);
-  in_a[seed] = true;
+  in_a[seed] = 1;
+  candidates.clear();
+  std::uint64_t b_work = 0;  // Σ_{r∈B} deg(r)
+  for (const VertexId r : b) {
+    in_b[r] = 1;
+    const std::span<const VertexId> nbrs = g.Neighbors(other, r);
+    b_work += nbrs.size();
+    for (const VertexId w : nbrs) {
+      if (count[w]++ == 0) candidates.push_back(w);
+    }
+  }
 
+  // The largest neighbour of w that is in B (w has one).
+  const auto last_in_b = [&](VertexId w) {
+    const std::span<const VertexId> nbrs = g.Neighbors(side, w);
+    return *std::find_if(nbrs.rbegin(), nbrs.rend(),
+                         [&in_b](VertexId r) { return in_b[r] != 0; });
+  };
+  // Argmax over the candidates by the full counts; drops A members and
+  // candidates that lost every common neighbour.
+  const auto pick_by_counts = [&] {
+    GreedyPick pick;
+    VertexId pick_last = 0;
+    bool pick_last_known = false;
+    std::size_t kept = 0;
+    for (const VertexId w : candidates) {
+      if (in_a[w] != 0 || count[w] == 0) continue;
+      candidates[kept++] = w;
+      const std::uint32_t c = count[w];
+      const std::uint32_t s = score_of(w);
+      if (!pick.found || c > pick.count ||
+          (c == pick.count && s > pick.score)) {
+        pick = {true, w, c, s};
+        pick_last_known = false;
+      } else if (c == pick.count && s == pick.score) {
+        if (!pick_last_known) {
+          pick_last = last_in_b(pick.w);
+          pick_last_known = true;
+        }
+        const VertexId last = last_in_b(w);
+        if (last < pick_last || (last == pick_last && w < pick.w)) {
+          pick.w = w;
+          pick_last = last;
+        }
+      }
+    }
+    candidates.resize(kept);
+    return pick;
+  };
+  // The capped round: recount over the prefix of B the cap allows, picking
+  // as the counts grow. Counts are zeroed first; every vertex the scan
+  // touches is a candidate or in A, which is what the cleanup resets.
   std::uint64_t work = 0;
-  std::uint32_t round = 0;
-  while (b.size() > a.size() && work < work_cap) {
-    ++round;
-    VertexId best_w = 0;
-    std::uint32_t best_count = 0;
-    std::uint32_t best_score = 0;
-    bool found = false;
+  const auto pick_by_prefix_scan = [&] {
+    for (const VertexId w : candidates) count[w] = 0;
+    for (const VertexId w : a) count[w] = 0;
+    GreedyPick pick;
     for (const VertexId r : b) {
-      const std::span<const VertexId> nbrs = g.Neighbors(Opposite(side), r);
+      const std::span<const VertexId> nbrs = g.Neighbors(other, r);
       work += nbrs.size();
       for (const VertexId w : nbrs) {
-        if (in_a[w]) continue;
-        if (stamp[w] != round) {
-          stamp[w] = round;
-          count[w] = 0;
-        }
-        ++count[w];
-        const std::uint32_t score =
-            scores.empty() ? 0 : scores[g.GlobalIndex(side, w)];
-        if (!found || count[w] > best_count ||
-            (count[w] == best_count && score > best_score)) {
-          found = true;
-          best_w = w;
-          best_count = count[w];
-          best_score = score;
+        if (in_a[w] != 0) continue;
+        const std::uint32_t c = ++count[w];
+        const std::uint32_t s = score_of(w);
+        if (!pick.found || c > pick.count ||
+            (c == pick.count && s > pick.score)) {
+          pick = {true, w, c, s};
         }
       }
       if (work >= work_cap) break;
     }
+    return pick;
+  };
+
+  while (b.size() > a.size() && work < work_cap) {
+    const bool last_round = work_cap - work <= b_work;
+    GreedyPick pick;
+    if (last_round) {
+      pick = pick_by_prefix_scan();
+    } else {
+      work += b_work;
+      pick = pick_by_counts();
+    }
     // Adding w must keep the balanced size growing: the shrunk B must stay
     // larger than the current A, otherwise stopping now is at least as good.
-    if (!found || best_count <= a.size()) break;
+    if (!pick.found || pick.count <= a.size()) break;
 
-    a.push_back(best_w);
-    in_a[best_w] = true;
-    std::vector<VertexId> next_b;
-    next_b.reserve(best_count);
-    for (const VertexId r : b) {
-      if (g.HasEdge(side == Side::kLeft ? best_w : r,
-                    side == Side::kLeft ? r : best_w)) {
-        next_b.push_back(r);
-      }
+    a.push_back(pick.w);
+    in_a[pick.w] = 1;
+    // B <- B ∩ N(w): mark N(w) ∩ B, keep the marked, uncount the rest.
+    for (const VertexId r : g.Neighbors(side, pick.w)) {
+      if (in_b[r] != 0) in_b[r] = 2;
     }
-    b = std::move(next_b);
+    std::size_t kept = 0;
+    for (const VertexId r : b) {
+      if (in_b[r] == 2) {
+        in_b[r] = 1;
+        b[kept++] = r;
+        continue;
+      }
+      in_b[r] = 0;
+      const std::span<const VertexId> nbrs = g.Neighbors(other, r);
+      b_work -= nbrs.size();
+      if (last_round) continue;
+      for (const VertexId w : nbrs) --count[w];
+    }
+    b.resize(kept);
     update_best(a, b);
   }
+
+  for (const VertexId w : candidates) count[w] = 0;
+  for (const VertexId w : a) {
+    count[w] = 0;
+    in_a[w] = 0;
+  }
+  for (const VertexId r : b) in_b[r] = 0;
   best.MakeBalanced();
   return best;
 }
@@ -136,9 +239,10 @@ Biclique GreedyMbb(const BipartiteGraph& g,
                    const GreedyOptions& options) {
   Biclique best;
   if (g.num_left() == 0 || g.num_right() == 0) return best;
+  GreedyScratch scratch(g);
   for (const auto& [side, seed] : TopSeeds(g, scores, options.top_r)) {
     Biclique candidate =
-        GreedyFromSeed(g, side, seed, scores, options.work_cap);
+        GreedyFromSeed(g, side, seed, scores, options.work_cap, scratch);
     if (candidate.BalancedSize() > best.BalancedSize()) {
       best = std::move(candidate);
     }

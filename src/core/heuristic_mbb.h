@@ -27,6 +27,12 @@ struct GreedyOptions {
 /// `scores` is indexed by global vertex id; pass degrees for the paper's
 /// "maximum degree based" rule or core numbers for the "core number based"
 /// rule. The result is balanced and valid in `g`.
+///
+/// Cost per seed: Σ_{r∈N(seed)} deg(r) to count common neighbours once,
+/// plus rounds × |N2(seed)| to pick each round's vertex from the seed's
+/// 2-hop set. `work_cap` is charged as a per-round rescan of B's
+/// adjacency would be (Σ_{r∈B} deg(r) per round). The round that reaches
+/// the cap is the last, and picks from the prefix of B the cap allows.
 Biclique GreedyMbb(const BipartiteGraph& g,
                    std::span<const std::uint32_t> scores,
                    const GreedyOptions& options = {});

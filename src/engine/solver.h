@@ -60,8 +60,7 @@ struct SolverOptions {
   /// `ExecPolicy::spawn_depth`; 0 = auto from the candidate-set size.
   std::uint32_t spawn_depth = 0;
   /// `ExecPolicy::deterministic`: the returned biclique is identical at
-  /// any `num_threads`. The FMBE fan-out (`fmbe`, `adp1`, `adp3`) does not
-  /// take it.
+  /// any `num_threads`.
   bool deterministic = false;
   /// Per-solve memory byte budget, metered at the arena layer (`BitMatrix`
   /// and `CsrScratch` charges; see engine/budget.h). 0 = unlimited.

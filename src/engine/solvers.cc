@@ -144,7 +144,7 @@ class FmbeSolver final : public NamedSolver<true> {
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
     return FmbeSolve(g, options.Limits(), options.initial_bound,
-                     options.num_threads);
+                     options.num_threads, options.deterministic);
   }
 };
 
@@ -157,7 +157,8 @@ class AdaptedSolver final : public NamedSolver<true> {
   MbbResult Solve(const BipartiteGraph& g,
                   const SolverOptions& options) const override {
     return AboveBound(
-        AdpSolve(g, variant_, options.Limits(), options.num_threads),
+        AdpSolve(g, variant_, options.Limits(), options.num_threads,
+                 options.deterministic),
         options.initial_bound);
   }
 

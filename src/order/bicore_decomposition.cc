@@ -1,8 +1,8 @@
 #include "order/bicore_decomposition.h"
 
 #include <algorithm>
-#include <set>
-#include <tuple>
+#include <numeric>
+#include <utility>
 
 namespace mbb {
 
@@ -108,23 +108,87 @@ void ForEachN2(const ResidualGraph& rg, std::uint32_t u,
   });
 }
 
-}  // namespace
-
-std::vector<VertexId> TwoHopNeighbors(const BipartiteGraph& g, Side side,
-                                      VertexId v) {
-  std::vector<bool> seen(g.NumVertices(side), false);
-  std::vector<VertexId> out;
-  for (const VertexId mid : g.Neighbors(side, v)) {
-    for (const VertexId w : g.Neighbors(Opposite(side), mid)) {
-      if (w != v && !seen[w]) {
-        seen[w] = true;
-        out.push_back(w);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+/// The peel's priority `(|N≤2|, residual degree)` packed into one word;
+/// `PeelQueue` breaks ties by vertex id.
+std::uint64_t PeelKey(std::uint32_t n2_size, std::uint32_t degree) {
+  return std::uint64_t{n2_size} << 32 | degree;
 }
+
+/// Indexed 4-ary min-heap over the vertices, ordered by `(key, id)`. It
+/// tracks every vertex's slot, so lowering a key is one sift-up and
+/// nothing is allocated after construction.
+class PeelQueue {
+ public:
+  explicit PeelQueue(std::vector<std::uint64_t> keys)
+      : key_(std::move(keys)), heap_(key_.size()), slot_(key_.size()) {
+    std::iota(heap_.begin(), heap_.end(), 0u);
+    std::iota(slot_.begin(), slot_.end(), 0u);
+    for (std::size_t i = heap_.size(); i-- > 0;) SiftDown(i);
+  }
+
+  bool Empty() const { return heap_.empty(); }
+
+  std::uint32_t PopMin() {
+    const std::uint32_t top = heap_.front();
+    heap_.front() = heap_.back();
+    slot_[heap_.front()] = 0;
+    heap_.pop_back();
+    if (!heap_.empty()) SiftDown(0);
+    return top;
+  }
+
+  /// Lowers the key of `v`, which must still be queued.
+  void Decrease(std::uint32_t v, std::uint64_t key) {
+    key_[v] = key;
+    SiftUp(slot_[v]);
+  }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+
+  bool Less(std::uint32_t a, std::uint32_t b) const {
+    return key_[a] < key_[b] || (key_[a] == key_[b] && a < b);
+  }
+
+  void Place(std::size_t i, std::uint32_t v) {
+    heap_[i] = v;
+    slot_[v] = static_cast<std::uint32_t>(i);
+  }
+
+  void SiftUp(std::size_t i) {
+    const std::uint32_t v = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!Less(v, heap_[parent])) break;
+      Place(i, heap_[parent]);
+      i = parent;
+    }
+    Place(i, v);
+  }
+
+  void SiftDown(std::size_t i) {
+    const std::uint32_t v = heap_[i];
+    while (true) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= heap_.size()) break;
+      const std::size_t last = std::min(first + kArity, heap_.size());
+      std::size_t child = first;
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (Less(heap_[c], heap_[child])) child = c;
+      }
+      if (!Less(heap_[child], v)) break;
+      Place(i, heap_[child]);
+      i = child;
+    }
+    Place(i, v);
+  }
+
+  std::vector<std::uint64_t> key_;
+  std::vector<std::uint32_t> heap_;  // vertices in heap order
+  std::vector<std::uint32_t> slot_;  // slot_[v]: v's index in heap_
+};
+
+}  // namespace
 
 std::vector<std::uint32_t> ComputeN2Sizes(const BipartiteGraph& g) {
   const std::uint32_t n = g.NumVertices();
@@ -155,10 +219,7 @@ std::vector<std::uint32_t> ComputeN2Sizes(const BipartiteGraph& g) {
   return sizes;
 }
 
-namespace {
-
-BicoreDecomposition PeelBicores(const BipartiteGraph& g,
-                                bool exact_decrement) {
+BicoreDecomposition ComputeBicores(const BipartiteGraph& g) {
   const std::uint32_t n = g.NumVertices();
   BicoreDecomposition out;
   out.bicore.assign(n, 0);
@@ -168,97 +229,39 @@ BicoreDecomposition PeelBicores(const BipartiteGraph& g,
 
   ResidualGraph rg(g);
   std::vector<std::uint32_t> value = out.initial_n2_size;  // residual |N≤2|
-
-  // Priority queue keyed by (|N≤2|, residual degree, vertex id) — the
-  // Lemma 10 schedule with a deterministic final tie-break.
-  using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
-  std::set<Key> queue;
+  std::vector<std::uint64_t> keys(n);
   for (std::uint32_t v = 0; v < n; ++v) {
-    queue.insert({value[v], rg.AliveDegree(v), v});
+    keys[v] = PeelKey(value[v], rg.AliveDegree(v));
   }
+  PeelQueue queue(std::move(keys));
 
   std::vector<std::uint32_t> stamp(n, ~std::uint32_t{0});
-  std::vector<std::uint32_t> mark(n, ~std::uint32_t{0});
-  std::uint32_t mark_round = 0;
+  std::vector<std::uint32_t> affected;
   std::uint32_t running_max = 0;
   std::uint32_t round = 0;
-  while (!queue.empty()) {
-    const auto [val, deg, u] = *queue.begin();
-    queue.erase(queue.begin());
-
-    running_max = std::max(running_max, val);
+  while (!queue.Empty()) {
+    const std::uint32_t u = queue.PopMin();
+    running_max = std::max(running_max, value[u]);
     out.bicore[u] = running_max;
     out.order.push_back(u);
 
     // Collect N≤2(u) before mutating the residual graph.
     ++round;
-    std::vector<std::uint32_t> affected;
+    affected.clear();
     ForEachN2(rg, u, stamp, round, [&affected](std::uint32_t v) {
       affected.push_back(v);
     });
-
-    // Per-vertex |N≤2| losses. The paper's Algorithm 7 assumes the loss is
-    // exactly 1 (Lemma 10); the exact variant additionally counts 2-hop
-    // neighbours w of a direct neighbour v that were reachable only
-    // through u (u the sole common neighbour of v and w).
-    std::vector<std::uint32_t> loss(affected.size(), 1);
-    if (exact_decrement) {
-      // Direct neighbours of u, before removal.
-      std::vector<std::uint32_t> direct;
-      rg.ForEachAliveNeighbor(
-          u, [&direct](std::uint32_t v) { direct.push_back(v); });
-      std::vector<std::uint32_t> extra(n, 0);
-      for (std::size_t i = 0; i < direct.size(); ++i) {
-        const std::uint32_t v = direct[i];
-        // Mark N_res(v).
-        ++mark_round;
-        rg.ForEachAliveNeighbor(v, [&](std::uint32_t y) {
-          mark[y] = mark_round;
-        });
-        for (std::size_t j = i + 1; j < direct.size(); ++j) {
-          const std::uint32_t w = direct[j];
-          std::uint32_t common = 0;
-          rg.ForEachAliveNeighbor(w, [&](std::uint32_t y) {
-            common += mark[y] == mark_round ? 1 : 0;
-          });
-          if (common == 1) {  // u was the sole connector of v and w
-            ++extra[v];
-            ++extra[w];
-          }
-        }
-      }
-      for (std::size_t i = 0; i < affected.size(); ++i) {
-        loss[i] += extra[affected[i]];
-      }
-    }
-
     rg.Remove(u);
 
-    for (std::size_t i = 0; i < affected.size(); ++i) {
-      const std::uint32_t v = affected[i];
-      const std::uint32_t old_value = value[v];
-      const std::uint32_t old_deg_plus =
-          rg.AliveDegree(v) + (g.SideOf(v) != g.SideOf(u) ? 1u : 0u);
-      // v's residual degree already reflects the removal; reconstruct the
-      // pre-removal degree to erase the stale queue key. Only direct
-      // neighbours of u (opposite side) lost a 1-hop edge.
-      queue.erase({old_value, old_deg_plus, v});
-      value[v] = old_value > loss[i] ? old_value - loss[i] : 0;
-      queue.insert({value[v], rg.AliveDegree(v), v});
+    // Algorithm 7 (Lemma 10): every v ∈ N≤2(u) loses one from |N≤2(v)|,
+    // and u's direct neighbours one from their degree, so keys only drop.
+    for (const std::uint32_t v : affected) {
+      if (value[v] > 0) --value[v];
+      queue.Decrease(v, PeelKey(value[v], rg.AliveDegree(v)));
     }
   }
   out.bidegeneracy = running_max;
   return out;
-}
-
-}  // namespace
-
-BicoreDecomposition ComputeBicores(const BipartiteGraph& g) {
-  return PeelBicores(g, /*exact_decrement=*/false);
-}
-
-BicoreDecomposition ComputeBicoresExact(const BipartiteGraph& g) {
-  return PeelBicores(g, /*exact_decrement=*/true);
 }
 
 }  // namespace mbb

@@ -32,9 +32,10 @@ struct BicoreDecomposition {
 /// Runs the peeling of Algorithm 7: repeatedly remove the vertex with the
 /// smallest residual `|N≤2|` (ties: smallest residual degree, then smallest
 /// global index) and decrement `|N≤2(v)|` by one for every `v ∈ N≤2(u)` —
-/// the paper's Lemma 10 unit-decrement schedule. Complexity
-/// `O(Σ_u Σ_{v∈N(u)} deg(v))` for neighbourhood enumeration plus
-/// `O(Σ|N≤2| log n)` for the priority maintenance.
+/// the paper's Lemma 10 unit-decrement schedule. The queue is an indexed
+/// 4-ary min-heap on that key; keys only fall, so each update is one
+/// sift-up. Complexity `O(Σ_u Σ_{v∈N(u)} deg(v))` for neighbourhood
+/// enumeration plus `O(Σ|N≤2| log n)` for the priority maintenance.
 ///
 /// Reproduction note: Lemma 10's claim that the unit decrement is exact
 /// does not hold on all inputs — when the peeled vertex is the *sole*
@@ -42,25 +43,15 @@ struct BicoreDecomposition {
 /// addition to any 1-hop loss. The unit-decrement values are therefore
 /// upper bounds on the true residual `|N≤2|`; everything the paper uses
 /// bicores for (the bidegeneracy search order and the Lemma 8 size bound
-/// on vertex-centred subgraphs) remains correct with upper bounds. See
-/// `ComputeBicoresExact` for the exact (slower) variant and
-/// EXPERIMENTS.md for the measured gap.
+/// on vertex-centred subgraphs) remains correct with upper bounds.
+/// tests/test_bicore_decomposition.cc checks the bound against a naive
+/// peel that recomputes `|N≤2|` exactly, and shows an input where it is
+/// strict.
 BicoreDecomposition ComputeBicores(const BipartiteGraph& g);
-
-/// Exact bicore decomposition: identical peeling schedule but the drop in
-/// `|N≤2|` is recomputed exactly for every affected vertex (detecting
-/// sole-common-neighbour disconnections). `O(Σ_u Σ_{v,w∈N(u)} deg(w))` in
-/// the worst case — use on reduced or moderate-size graphs.
-BicoreDecomposition ComputeBicoresExact(const BipartiteGraph& g);
 
 /// `|N≤2(u)|` for every global vertex of `g` (no peeling). Exposed for
 /// tests and for the `N≤2`-based subgraph extraction.
 std::vector<std::uint32_t> ComputeN2Sizes(const BipartiteGraph& g);
-
-/// The distinct vertices at distance exactly 2 from `(side, v)` in `g`,
-/// sorted ascending. These live on the same side as `v`.
-std::vector<VertexId> TwoHopNeighbors(const BipartiteGraph& g, Side side,
-                                      VertexId v);
 
 }  // namespace mbb
 

@@ -222,16 +222,6 @@ TEST(VariantSolvers, AdaptedIsAnAliasOfAdp3) {
       testing::RandomGraph(30, 30, 0.3, 11)};
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const BipartiteGraph& g = graphs[i];
-    // The four-worker comparison relies on adp3's step-1 heuristic
-    // (SBMNAS) being optimal on these inputs: then no FMBE scope raises
-    // the shared bound and the counters do not depend on worker timing.
-    // FMBE ignores `deterministic` (see the FOUND entry on `FmbeSolve` in
-    // CHANGES.md), so this assertion fails, rather than the comparison
-    // flaking, if SBMNAS stops being optimal here; once FMBE honours
-    // `deterministic`, the assertion can go.
-    ASSERT_EQ(SolverRegistry::Solve("sbmnas", g).best.BalancedSize(),
-              SolverRegistry::Solve("dense", g).best.BalancedSize())
-        << "graph " << i;
     for (const std::uint32_t threads : {1u, 4u}) {
       SolverOptions options;
       options.num_threads = threads;
@@ -243,6 +233,25 @@ TEST(VariantSolvers, AdaptedIsAnAliasOfAdp3) {
       EXPECT_EQ(alias.exact, adp3.exact) << "graph " << i;
       EXPECT_TRUE(alias.stats == adp3.stats)
           << "graph " << i << " threads " << threads;
+    }
+  }
+}
+
+TEST(VariantSolvers, FmbeFanOutIsDeterministic) {
+  // FMBE's scopes used to snapshot the live shared bound even under
+  // `deterministic`, so at four workers this graph's counters varied from
+  // run to run (recursions 647, 685 or 725).
+  const BipartiteGraph g = testing::RandomGraph(40, 40, 0.15, 5);
+  for (const char* name : {"fmbe", "adp1", "adp3"}) {
+    SolverOptions options;
+    options.num_threads = 4;
+    options.deterministic = true;
+    const MbbResult first = SolverRegistry::Solve(name, g, options);
+    for (int run = 1; run < 20; ++run) {
+      const MbbResult again = SolverRegistry::Solve(name, g, options);
+      EXPECT_EQ(again.best.left, first.best.left) << name << " run " << run;
+      EXPECT_EQ(again.best.right, first.best.right) << name << " run " << run;
+      EXPECT_TRUE(again.stats == first.stats) << name << " run " << run;
     }
   }
 }

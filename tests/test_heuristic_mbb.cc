@@ -1,13 +1,156 @@
 #include "core/heuristic_mbb.h"
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/brute_force.h"
+#include "graph/csr.h"
+#include "graph/datasets.h"
 #include "order/core_decomposition.h"
+#include "order/vertex_centered.h"
 #include "test_util.h"
 
 namespace mbb {
 namespace {
+
+/// The greedy as a per-round scan of B's adjacency: the reference that
+/// `GreedyMbb`'s incremental counts must reproduce, witness order included.
+namespace reference {
+
+Biclique GreedyFromSeed(const BipartiteGraph& g, Side side, VertexId seed,
+                        std::span<const std::uint32_t> scores,
+                        std::uint64_t work_cap) {
+  std::vector<VertexId> a{seed};
+  std::vector<VertexId> b(g.Neighbors(side, seed).begin(),
+                          g.Neighbors(side, seed).end());
+  Biclique best;
+  const auto update_best = [&best, side](const std::vector<VertexId>& av,
+                                         const std::vector<VertexId>& bv) {
+    if (std::min(av.size(), bv.size()) > best.BalancedSize()) {
+      best.left = side == Side::kLeft ? av : bv;
+      best.right = side == Side::kLeft ? bv : av;
+    }
+  };
+  update_best(a, b);
+  std::vector<std::uint32_t> count(g.NumVertices(side), 0);
+  std::vector<std::uint32_t> stamp(g.NumVertices(side), ~std::uint32_t{0});
+  std::vector<bool> in_a(g.NumVertices(side), false);
+  in_a[seed] = true;
+  std::uint64_t work = 0;
+  std::uint32_t round = 0;
+  while (b.size() > a.size() && work < work_cap) {
+    ++round;
+    VertexId best_w = 0;
+    std::uint32_t best_count = 0;
+    std::uint32_t best_score = 0;
+    bool found = false;
+    for (const VertexId r : b) {
+      const std::span<const VertexId> nbrs = g.Neighbors(Opposite(side), r);
+      work += nbrs.size();
+      for (const VertexId w : nbrs) {
+        if (in_a[w]) continue;
+        if (stamp[w] != round) {
+          stamp[w] = round;
+          count[w] = 0;
+        }
+        ++count[w];
+        const std::uint32_t score =
+            scores.empty() ? 0 : scores[g.GlobalIndex(side, w)];
+        if (!found || count[w] > best_count ||
+            (count[w] == best_count && score > best_score)) {
+          found = true;
+          best_w = w;
+          best_count = count[w];
+          best_score = score;
+        }
+      }
+      if (work >= work_cap) break;
+    }
+    if (!found || best_count <= a.size()) break;
+    a.push_back(best_w);
+    in_a[best_w] = true;
+    std::vector<VertexId> next_b;
+    for (const VertexId r : b) {
+      if (g.HasEdge(side == Side::kLeft ? best_w : r,
+                    side == Side::kLeft ? r : best_w)) {
+        next_b.push_back(r);
+      }
+    }
+    b = std::move(next_b);
+    update_best(a, b);
+  }
+  best.MakeBalanced();
+  return best;
+}
+
+std::vector<std::pair<Side, VertexId>> TopSeeds(
+    const BipartiteGraph& g, std::span<const std::uint32_t> scores,
+    int top_r) {
+  std::vector<std::uint32_t> order(g.NumVertices());
+  std::iota(order.begin(), order.end(), 0);
+  const std::size_t keep = std::min<std::size_t>(
+      order.size(), static_cast<std::size_t>(std::max(top_r, 1)) * 2);
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(keep),
+                    order.end(), [&scores](std::uint32_t x, std::uint32_t y) {
+                      return scores[x] > scores[y];
+                    });
+  std::vector<std::pair<Side, VertexId>> seeds;
+  int left_taken = 0;
+  int right_taken = 0;
+  for (std::size_t i = 0; i < keep; ++i) {
+    const Side side = g.SideOf(order[i]);
+    int& taken = side == Side::kLeft ? left_taken : right_taken;
+    if (taken >= top_r) continue;
+    ++taken;
+    seeds.emplace_back(side, g.LocalId(order[i]));
+  }
+  return seeds;
+}
+
+Biclique GreedyMbb(const BipartiteGraph& g,
+                   std::span<const std::uint32_t> scores,
+                   const GreedyOptions& options) {
+  Biclique best;
+  if (g.num_left() == 0 || g.num_right() == 0) return best;
+  for (const auto& [side, seed] : TopSeeds(g, scores, options.top_r)) {
+    Biclique candidate =
+        GreedyFromSeed(g, side, seed, scores, options.work_cap);
+    if (candidate.BalancedSize() > best.BalancedSize()) {
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+}  // namespace reference
+
+/// Runs both greedies with degree scores and with all-zero scores (every
+/// pick then falls to the tie-break), under each work cap.
+void ExpectGreedyMatchesReference(const BipartiteGraph& g,
+                                  std::span<const std::uint64_t> caps,
+                                  const std::string& label) {
+  const std::vector<std::uint32_t> degrees = DegreeScores(g);
+  const std::vector<std::uint32_t> zeros(g.NumVertices(), 0);
+  for (const std::vector<std::uint32_t>* scores : {&degrees, &zeros}) {
+    for (const std::uint64_t cap : caps) {
+      GreedyOptions options;
+      options.work_cap = cap;
+      const Biclique want = reference::GreedyMbb(g, *scores, options);
+      const Biclique got = GreedyMbb(g, *scores, options);
+      const std::string where = label + " cap " + std::to_string(cap) +
+                                (scores == &zeros ? " zero" : " degree") +
+                                " scores";
+      EXPECT_EQ(got.left, want.left) << where;
+      EXPECT_EQ(got.right, want.right) << where;
+    }
+  }
+}
 
 TEST(GreedyMbb, EmptyAndEdgelessGraphs) {
   const BipartiteGraph empty = BipartiteGraph::FromEdges(0, 0, {});
@@ -51,6 +194,44 @@ TEST(GreedyMbb, FindsStructureInSparseNoise) {
   // to 10); it must still recover a non-trivial biclique.
   EXPECT_GE(b.BalancedSize(), 2u);
   EXPECT_TRUE(b.IsBicliqueIn(g));
+}
+
+TEST(GreedyMbb, MatchesPerRoundScanOnRandoms) {
+  // Small caps stop a seed's run in the middle of a round.
+  const std::uint64_t caps[] = {GreedyOptions{}.work_cap, 1, 57, 213, 1009};
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    const std::uint32_t nl = 8 + static_cast<std::uint32_t>(seed % 37);
+    const std::uint32_t nr = 8 + static_cast<std::uint32_t>(seed * 7 % 41);
+    const BipartiteGraph g =
+        seed % 3 == 2
+            ? RandomChungLu(nl, nr, 3ull * (nl + nr), 2.1, seed)
+            : testing::RandomGraph(nl, nr, 0.05 + 0.06 * (seed % 9), seed);
+    ExpectGreedyMatchesReference(g, caps, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(GreedyMbb, MatchesPerRoundScanOnStep2Subgraphs) {
+  // Step 2's local greedy runs on every centred subgraph of the step-1
+  // reduced graph; discogs-style@0.2 reaches step 2.
+  const BipartiteGraph g =
+      GenerateSurrogate(*FindDataset("discogs-style"), 0.2);
+  const HMbbOutcome step1 = HMbb(g);
+  ASSERT_FALSE(step1.solved_exactly);
+  const VertexOrder order =
+      ComputeVertexOrder(step1.reduced, VertexOrderKind::kBidegeneracy);
+  const std::uint64_t caps[] = {GreedyOptions{}.work_cap, 97};
+  CenteredWorkspace workspace;
+  CsrScratch scratch;
+  for (const std::uint32_t center : order.order) {
+    const CenteredSubgraph s =
+        BuildCenteredSubgraph(step1.reduced, order, center, workspace);
+    const bool left = s.center_side == Side::kLeft;
+    const InducedSubgraph induced =
+        CsrInduce(step1.reduced, left ? s.same_side : s.other_side,
+                  left ? s.other_side : s.same_side, scratch);
+    ExpectGreedyMatchesReference(induced.graph, caps,
+                                 "centre " + std::to_string(center));
+  }
 }
 
 TEST(HMbb, CoreHeuristicNarrowsPlantedGap) {
