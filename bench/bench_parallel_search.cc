@@ -5,7 +5,10 @@
 /// count (the shared incumbent only tightens pruning; it never changes the
 /// answer). This is the single-worst-case-search scenario the survivor
 /// fan-out of bench_parallel_verify cannot touch: one search, no
-/// independent subgraphs, all parallelism from forked subtrees.
+/// independent subgraphs, all parallelism from forked subtrees. The `work`
+/// column is the run's recursions over the sequential run's: it separates
+/// a speedup from the split (work near 1.0x) from extra work done against
+/// a weaker incumbent, which the shared bound can only partly avoid.
 ///
 /// `--scale X` scales the side size, `--timeout SEC` bounds each run.
 
@@ -63,9 +66,10 @@ int main(int argc, char** argv) {
     std::cout << header.str() << " (|E|=" << g.num_edges() << ")\n";
 
     TablePrinter table(
-        {"threads", "best", "time(s)", "speedup", "spawned", "stolen",
-         "shared-prunes", "exact"});
+        {"threads", "best", "time(s)", "speedup", "work", "spawned",
+         "stolen", "shared-prunes", "exact"});
     double sequential_seconds = 0.0;
+    double sequential_recursions = 0.0;
     std::uint32_t sequential_best = 0;
     bool sequential_exact = false;
     for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
@@ -77,6 +81,7 @@ int main(int argc, char** argv) {
       const double seconds = timer.Seconds();
       if (threads == 1) {
         sequential_seconds = seconds;
+        sequential_recursions = static_cast<double>(out.stats.recursions);
         sequential_best = out.best.BalancedSize();
         sequential_exact = out.exact;
       } else if (out.exact && sequential_exact &&
@@ -89,9 +94,15 @@ int main(int argc, char** argv) {
       std::ostringstream speedup;
       speedup.precision(2);
       speedup << std::fixed << sequential_seconds / seconds << "x";
+      std::ostringstream work;
+      work.precision(2);
+      work << std::fixed
+           << static_cast<double>(out.stats.recursions) / sequential_recursions
+           << "x";
       table.AddRow({std::to_string(threads),
                     std::to_string(out.best.BalancedSize()),
                     FormatSeconds(seconds, !out.exact), speedup.str(),
+                    work.str(),
                     std::to_string(out.stats.tasks_spawned),
                     std::to_string(out.stats.tasks_stolen),
                     std::to_string(out.stats.shared_bound_prunes),
@@ -102,8 +113,8 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "Shape check: identical best at every thread count; speedup "
-               "approaches the\nhardware thread count while spawned tasks "
-               "outnumber workers (on a single-core\nhost all rows cost the "
-               "same and the table only shows scheduling overhead).\n";
+               "approaches the\nhardware thread count divided by work (on a "
+               "single-core host all rows cost\nthe same and the table only "
+               "shows scheduling overhead).\n";
   return ok ? 0 : 1;
 }

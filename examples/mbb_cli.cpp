@@ -45,8 +45,11 @@ void Usage() {
       "                              phases (subtree search, bridge scan,\n"
       "                              verification); default 1, auto = all\n"
       "                              hardware threads\n"
-      "  --spawn-depth N             fork cutoff of the work-stealing\n"
-      "                              subtree layer, 0..20 (default 0 = auto)\n"
+      "  --spawn-depth N             depth of the --deterministic task tree,\n"
+      "                              0..20 (default 0 = auto); otherwise\n"
+      "                              subtrees fork when a worker is idle,\n"
+      "                              and N > 0 only turns that on for inputs\n"
+      "                              the auto policy keeps sequential\n"
       "  --deterministic             thread-count-invariant parallel mode:\n"
       "                              identical result at any --threads\n"
       "  --memory-budget-mb N        per-solve arena byte budget in MiB;\n"

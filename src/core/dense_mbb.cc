@@ -1,6 +1,8 @@
 #include "core/dense_mbb.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -17,11 +19,13 @@ namespace mbb {
 
 namespace {
 
-/// Snapshot of an inclusion branch forked at a shallow branch node: the
-/// fixed sides, deep copies of the candidate sets (a forked subtree cannot
-/// alias its spawner's pooled frames), and the spawner's incumbent at fork
-/// time. `path` identifies the subtree's position in the task tree: the
-/// spawner's path plus this fork's per-spawner ordinal.
+/// Snapshot of a forked branch — a node of the deterministic task tree, or
+/// a pending inclusion branch donated to an idle worker: the fixed sides,
+/// deep copies of the candidate sets (a forked subtree cannot alias its
+/// spawner's pooled frames), and the spawner's incumbent at fork time.
+/// `path` identifies the subtree's position in the task tree: the
+/// spawner's path plus this fork's per-spawner ordinal (empty for the
+/// root); `spawner` is the worker that forked it.
 ///
 /// The copies live in one 2-row arena per task, `sets`, which `ca`/`cb`
 /// view. Moving a task keeps the views valid (the arena's words do not
@@ -49,6 +53,7 @@ struct SubtreeTask {
   std::uint32_t depth = 0;
   std::uint32_t bound_snapshot = 0;
   std::vector<std::uint32_t> path;
+  std::size_t spawner = 0;
 };
 
 class ParallelDenseDriver;
@@ -91,18 +96,22 @@ class DenseMbbSearcher {
         own_best_size_(initial_best),
         ctx_(context) {}
 
-  /// Makes branch nodes at depth < `spawn_depth` fork their inclusion
-  /// branch onto `driver` (as tasks of `worker`, the one running this
-  /// searcher) instead of exploring it inline; at the deepest spawn level
-  /// the exclusion branch is forked as well, so the searcher returns once
-  /// both children are delegated. `path` is this searcher's own position
-  /// in the task tree (empty for the root).
+  /// Makes this searcher fork subtrees onto `driver`, as tasks of
+  /// `worker` (the one running it). With `spawn_depth` > 0 (deterministic
+  /// mode), branch nodes at depth < `spawn_depth` fork their inclusion
+  /// branch instead of exploring it inline; at the deepest spawn level the
+  /// exclusion branch is forked as well, so the searcher returns once both
+  /// children are delegated. With `spawn_depth` 0 it forks on demand: while
+  /// the driver is hungry, each recursion entry donates the shallowest
+  /// pending inclusion branch. `path` is this searcher's own position in
+  /// the task tree (empty for the root).
   void EnableSplitting(ParallelDenseDriver* driver, std::size_t worker,
                        std::uint32_t spawn_depth,
                        std::vector<std::uint32_t> path) {
     driver_ = driver;
     worker_ = worker;
     spawn_depth_ = spawn_depth;
+    on_demand_ = spawn_depth == 0;
     path_ = std::move(path);
   }
 
@@ -116,7 +125,11 @@ class DenseMbbSearcher {
                     std::uint32_t cb_count, std::uint32_t depth) {
     a_ = std::move(a);
     b_ = std::move(b);
-    Rec(root.ca, root.cb, ca_count, cb_count, depth, /*level=*/0);
+    if (on_demand_) {
+      Rec<true>(root.ca, root.cb, ca_count, cb_count, depth, /*level=*/0);
+    } else {
+      Rec<false>(root.ca, root.cb, ca_count, cb_count, depth, /*level=*/0);
+    }
     MbbResult out;
     out.best = std::move(best_);
     out.best.MakeBalanced();
@@ -134,7 +147,10 @@ class DenseMbbSearcher {
   // and-with-count kernel refreshes them on inclusion, so no branch node
   // ever re-counts a candidate set from scratch). `level` is the
   // recursion nesting level (± the tail loop, so it lags `depth`), which
-  // indexes the context's frame pool.
+  // indexes the context's frame pool. `kOnDemand` compiles the pending
+  // records and the hunger check in only where `on_demand_` is set, so
+  // the sequential search runs without them.
+  template <bool kOnDemand>
   bool Rec(BitRow& ca, BitRow& cb, std::uint32_t ca_count,
            std::uint32_t cb_count, std::uint32_t depth, std::size_t level) {
     SizeGuard guard_a(a_);
@@ -146,6 +162,7 @@ class DenseMbbSearcher {
       stats_.max_depth = std::max<std::uint64_t>(stats_.max_depth, depth);
       if (LimitFired()) return true;
       SyncSharedBound();
+      if (kOnDemand && Hungry()) DonateShallowest();
 
       // Reduction to fixpoint (Lemmas 1 and 2), interleaved with the
       // bounding condition and leaf detection.
@@ -311,26 +328,26 @@ class DenseMbbSearcher {
         }
       }
 
-      // Shallow branch nodes fork the inclusion branch as a stealable task
-      // and keep walking the exclusion spine inline — the same exploration
-      // order as the sequential recursion when nothing is stolen (owner
-      // pops are LIFO), but any idle worker can pick the fork up. At the
-      // deepest spawn level the exclusion child is forked too instead of
-      // walked inline, so the spine's own final subtree is stealable and
-      // the task tree is the full binary tree of depth `spawn_depth_`
-      // (<= 2^d - 1 tasks). Below `spawn_depth_` the recursion proceeds
-      // sequentially, so the fused SIMD refinement loops below run exactly
-      // as in the 1-thread build.
-      if (driver_ != nullptr && depth < spawn_depth_) {
+      // Deterministic mode: shallow branch nodes fork the inclusion branch
+      // as a stealable task and keep walking the exclusion spine inline —
+      // the same exploration order as the sequential recursion when
+      // nothing is stolen (owner pops are LIFO), but any idle worker can
+      // pick the fork up. At the deepest spawn level the exclusion child
+      // is forked too instead of walked inline, so the spine's own final
+      // subtree is stealable and the task tree is the full binary tree of
+      // depth `spawn_depth_` (<= 2^d - 1 tasks). Below `spawn_depth_` the
+      // recursion proceeds sequentially, so the fused SIMD refinement
+      // loops below run exactly as in the 1-thread build.
+      if (depth < spawn_depth_) {
         Fork(/*include=*/true, ca, cb, ca_count, cb_count, depth,
-             branch_side, branch_vertex);
+             branch_side, branch_vertex, a_.size(), b_.size());
         if (depth + 1 == spawn_depth_) {
           // The exclusion fork gets the higher ordinal: sequential order
           // explores exclusion first, and PathBefore treats the higher
           // ordinal as sequentially earlier. Owner pops are LIFO, so the
           // owning worker also picks exclusion up first.
           Fork(/*include=*/false, ca, cb, ca_count, cb_count, depth,
-               branch_side, branch_vertex);
+               branch_side, branch_vertex, a_.size(), b_.size());
           return false;
         }
         (branch_side == Side::kLeft ? ca : cb).Reset(branch_vertex);
@@ -351,6 +368,18 @@ class DenseMbbSearcher {
       // assignments below are word copies into retained arena capacity,
       // and the child inherits the parent's counts minus the excluded
       // vertex, so it starts without re-counting.
+      //
+      // On demand, the inclusion branch waits in `pending_` while the
+      // exclusion child runs: this frame and the `a_`/`b_` prefixes are
+      // untouched until the child returns, so the record stays a valid
+      // snapshot, and a donated level returns instead of including.
+      if constexpr (kOnDemand) {
+        if (pending_.size() <= level) pending_.resize(level + 1);
+        pending_[level] = {&ca,          &cb,       ca_count,
+                           cb_count,     depth,     branch_side,
+                           branch_vertex, a_.size(), b_.size(),
+                           /*live=*/true, /*donated=*/false};
+      }
       {
         SearchContext::BranchFrame& child = ctx_.Frame(level + 1);
         child.ca.CopyFrom(ca);
@@ -361,10 +390,15 @@ class DenseMbbSearcher {
             ca_count - (branch_side == Side::kLeft ? 1 : 0);
         const std::uint32_t child_cb =
             cb_count - (branch_side == Side::kRight ? 1 : 0);
-        if (Rec(child.ca, child.cb, child_ca, child_cb, depth + 1,
-                level + 1)) {
-          return true;
+        const bool aborted = Rec<kOnDemand>(child.ca, child.cb, child_ca,
+                                            child_cb, depth + 1, level + 1);
+        bool donated = false;
+        if constexpr (kOnDemand) {
+          pending_[level].live = false;
+          donated = pending_[level].donated;
         }
+        if (aborted) return true;
+        if (donated) return false;
       }
 
       // Inclusion branch: continue in this frame. The candidate
@@ -408,18 +442,20 @@ class DenseMbbSearcher {
     }
   }
 
-  /// Forks one child of the current branch node as a stealable task: the
-  /// inclusion child (`include`) or, at the deepest spawn level, the
-  /// exclusion child. The snapshot deep-copies the candidate sets — the
-  /// fork outlives this frame — with the branch vertex dropped from its
-  /// side; the inclusion child also fixes it and refines the opposite
-  /// candidate side by its neighbourhood.
+  /// Forks one child of a branch node as a stealable task: the inclusion
+  /// child (`include`) or, at the deepest spawn level, the exclusion child.
+  /// The node's fixed sides are the first `a_size`/`b_size` entries of
+  /// `a_`/`b_` (a donated node lies above the current one, which may have
+  /// pushed more). The snapshot deep-copies the candidate sets — the fork
+  /// outlives this frame — with the branch vertex dropped from its side;
+  /// the inclusion child also fixes it and refines the opposite candidate
+  /// side by its neighbourhood.
   void Fork(bool include, BitSpan ca, BitSpan cb, std::uint32_t ca_count,
             std::uint32_t cb_count, std::uint32_t depth, Side branch_side,
-            VertexId branch_vertex) {
+            VertexId branch_vertex, std::size_t a_size, std::size_t b_size) {
     SubtreeTask task;
-    task.a = a_;
-    task.b = b_;
+    task.a.assign(a_.begin(), a_.begin() + a_size);
+    task.b.assign(b_.begin(), b_.begin() + b_size);
     task.depth = depth + 1;
     // In deterministic mode `best_size_` never reflects concurrent finds,
     // so this snapshot — and with it the fork's whole traversal — is a pure
@@ -427,6 +463,7 @@ class DenseMbbSearcher {
     task.bound_snapshot = best_size_;
     task.path = path_;
     task.path.push_back(spawn_ordinal_++);
+    task.spawner = worker_;
     task.AllocateSets(std::max(g_.num_left(), g_.num_right()));
     task.ca.CopyFrom(ca);
     task.cb.CopyFrom(cb);
@@ -453,8 +490,23 @@ class DenseMbbSearcher {
     Enqueue(std::move(task));
   }
 
-  /// Hands a fork to the driver; defined once the driver is complete.
+  /// Forks the inclusion branch of the shallowest pending level that is
+  /// not yet donated — the largest subtree this searcher has left — and
+  /// marks it so its level returns after its exclusion child.
+  void DonateShallowest() {
+    for (PendingBranch& p : pending_) {
+      if (!p.live || p.donated) continue;
+      p.donated = true;
+      Fork(/*include=*/true, *p.ca, *p.cb, p.ca_count, p.cb_count, p.depth,
+           p.side, p.vertex, p.a_size, p.b_size);
+      return;
+    }
+  }
+
+  /// Hands a fork to the driver, and asks whether it wants one; defined
+  /// once the driver is complete.
   void Enqueue(SubtreeTask task);
+  bool Hungry() const;
 
   /// Adopts a tighter incumbent found by a concurrent searcher. The local
   /// `best_` biclique is not replaced — only its owner reports the global
@@ -541,11 +593,33 @@ class DenseMbbSearcher {
   Biclique best_;
   SearchStats stats_;
 
+  /// A branch node whose exclusion child is running and whose inclusion
+  /// branch is still to come: the node's candidate rows (its pooled frame,
+  /// untouched until the child returns), their counts, the branch, and
+  /// the lengths of `a_`/`b_` at the node. `live` while the child runs;
+  /// `donated` once the inclusion branch went to the driver.
+  struct PendingBranch {
+    const BitRow* ca;
+    const BitRow* cb;
+    std::uint32_t ca_count;
+    std::uint32_t cb_count;
+    std::uint32_t depth;
+    Side side;
+    VertexId vertex;
+    std::size_t a_size;
+    std::size_t b_size;
+    bool live;
+    bool donated;
+  };
+
   // Subtree forking (EnableSplitting); null driver = plain sequential
-  // search.
+  // search. `pending_` is indexed by recursion level and only kept on
+  // demand.
   ParallelDenseDriver* driver_ = nullptr;
   std::size_t worker_ = 0;
   std::uint32_t spawn_depth_ = 0;
+  bool on_demand_ = false;
+  std::vector<PendingBranch> pending_;
   std::vector<std::uint32_t> path_;
   std::uint32_t spawn_ordinal_ = 0;
 };
@@ -553,8 +627,8 @@ class DenseMbbSearcher {
 /// Default fork cutoff when `spawn_depth == 0`. Depends on the root
 /// candidate count only — never on the thread count — so the task tree the
 /// deterministic mode reduces over is invariant across `num_threads`. Small
-/// instances resolve to 0: the task bookkeeping would cost more than the
-/// subtree it ships.
+/// instances resolve to 0 and run sequentially in either mode: the task
+/// bookkeeping would cost more than the subtree it ships.
 std::uint32_t AutoSpawnDepth(std::uint32_t num_candidates) {
   if (num_candidates < 64) return 0;
   std::uint32_t depth = 3;
@@ -572,20 +646,22 @@ struct SubtreeRecord {
   std::vector<std::uint32_t> path;
 };
 
-/// Runs one denseMBB search as a work-stealing task graph: every fork made
-/// above `spawn_depth` lands in the spawning worker's deque, idle workers
-/// steal the oldest (largest) forks, and each task runs the unchanged
-/// sequential searcher over its own pooled context. In the default mode
-/// tasks share the atomic incumbent; in deterministic mode they prune
-/// against their fork-time snapshot and the reduce picks the earliest
-/// winner in sequential depth-first order.
+/// Runs one denseMBB search as a work-stealing task graph: every fork lands
+/// in the spawning worker's deque, idle workers steal the oldest (largest)
+/// forks, and each task runs the unchanged sequential searcher over its
+/// own pooled context. In the default mode a task forks only on demand —
+/// while more workers are idle than donated tasks wait to start — and
+/// tasks share the atomic incumbent. In deterministic mode the forks are
+/// the fixed tree above `spawn_depth`, tasks prune against their fork-time
+/// snapshot, and the reduce picks the earliest winner in sequential
+/// depth-first order.
 class ParallelDenseDriver {
  public:
   ParallelDenseDriver(const DenseSubgraph& g, const DenseMbbOptions& options,
                       std::uint32_t spawn_depth, std::size_t num_workers,
                       std::uint32_t initial_best)
       : g_(g),
-        spawn_depth_(spawn_depth),
+        spawn_depth_(options.deterministic ? spawn_depth : 0),
         max_bits_(std::max(g.num_left(), g.num_right())),
         task_options_(options),
         local_bound_(initial_best),
@@ -619,7 +695,6 @@ class ParallelDenseDriver {
       }
     }
     if (winner != nullptr) out.best = winner->best;
-    out.stats.tasks_stolen = scheduler_.tasks_stolen();
     return out;
   }
 
@@ -627,9 +702,17 @@ class ParallelDenseDriver {
     // std::function requires copyable callables, so the snapshot rides in
     // a shared_ptr; one allocation per fork is noise next to the subtree.
     auto boxed = std::make_shared<SubtreeTask>(std::move(task));
+    unstarted_.fetch_add(1, std::memory_order_relaxed);
     scheduler_.Spawn(worker, [this, boxed](std::size_t executing_worker) {
       RunTask(executing_worker, *boxed);
     });
+  }
+
+  /// True while more workers are idle than forked tasks wait to start: a
+  /// running search should give one of them work.
+  bool Hungry() const {
+    return scheduler_.idle_workers() >
+           unstarted_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -639,6 +722,7 @@ class ParallelDenseDriver {
   };
 
   void RunTask(std::size_t worker, SubtreeTask& task) {
+    unstarted_.fetch_sub(1, std::memory_order_relaxed);
     MBB_INJECT_FAULT("worker.task",
                      throw std::runtime_error("injected fault: worker.task"));
     WorkerState& ws = workers_[worker];
@@ -656,7 +740,10 @@ class ParallelDenseDriver {
     MbbResult result =
         searcher.RunFrom(std::move(task.a), std::move(task.b), root,
                          task.ca_count, task.cb_count, task.depth);
-    fleet_.shard(worker).Merge(result.stats);
+    SearchStats& shard = fleet_.shard(worker);
+    shard.Merge(result.stats);
+    // A stolen fork; the root is no fork, whichever worker runs it.
+    if (!path.empty() && worker != task.spawner) ++shard.tasks_stolen;
     // Sequential semantics: the first task to hit a limit aborts the whole
     // search, not just its own subtree. The incumbent found so far is
     // still reported, as in a timed-out sequential search.
@@ -671,6 +758,7 @@ class ParallelDenseDriver {
   }
 
   const DenseSubgraph& g_;
+  /// Deterministic tree depth; 0 makes every searcher fork on demand.
   std::uint32_t spawn_depth_;
   std::size_t max_bits_;
   DenseMbbOptions task_options_;
@@ -678,16 +766,21 @@ class ParallelDenseDriver {
   FleetStop fleet_;
   StealScheduler scheduler_;
   std::vector<WorkerState> workers_;
+  /// Enqueued tasks that no worker has started yet.
+  std::atomic<std::size_t> unstarted_{0};
 };
 
 void DenseMbbSearcher::Enqueue(SubtreeTask task) {
   driver_->EnqueueTask(worker_, std::move(task));
 }
 
+bool DenseMbbSearcher::Hungry() const { return driver_->Hungry(); }
+
 /// Decides between the sequential searcher and the work-stealing driver,
 /// then runs the search from `root`. The deterministic mode routes through
 /// the driver even at one worker so every thread count reduces the
-/// identical task tree.
+/// identical task tree. A spawn depth of 0 (small roots under the auto
+/// policy) keeps either mode sequential.
 MbbResult SolveFromRoot(const DenseSubgraph& g, const DenseMbbOptions& options,
                         std::uint32_t initial_best, std::vector<VertexId> a,
                         std::vector<VertexId> b,
@@ -699,10 +792,13 @@ MbbResult SolveFromRoot(const DenseSubgraph& g, const DenseMbbOptions& options,
                                         : AutoSpawnDepth(ca_count + cb_count);
   std::size_t workers = 1;
   if (options.num_threads != 1 && spawn_depth > 0) {
-    // Upper-bound the useful worker count by the fork capacity of the
-    // shallow region (one fork per spine node, ~2^spawn_depth total).
-    const std::size_t max_tasks = std::size_t{1}
-                                  << std::min<std::uint32_t>(spawn_depth, 16);
+    // Upper-bound the useful worker count by the number of forks: the
+    // deterministic tree has ~2^spawn_depth, while on-demand splitting can
+    // keep forking down to single candidates.
+    const std::size_t max_tasks =
+        options.deterministic
+            ? std::size_t{1} << std::min<std::uint32_t>(spawn_depth, 16)
+            : std::size_t{ca_count} + cb_count;
     workers = EffectiveThreadCount(options.num_threads, max_tasks);
   }
   if (spawn_depth == 0 || (workers <= 1 && !options.deterministic)) {

@@ -181,11 +181,14 @@ struct ExecPolicy {
   /// step 2's centre scan and step 3's survivor fan-out (whose single
   /// worker hands them to the anchored search's subtree layer instead).
   std::uint32_t num_threads = 1;
-  /// Depth below which denseMBB branch nodes fork their inclusion branch
-  /// as a stealable task. 0 = auto from the root candidate count (never
-  /// from `num_threads`, so the task tree is thread-count-invariant);
-  /// small instances resolve to 0 and stay sequential. Phases without a
-  /// subtree layer ignore it.
+  /// Depth of denseMBB's deterministic task tree: with `deterministic`,
+  /// branch nodes above it fork their inclusion branch as a stealable
+  /// task. 0 = auto from the root candidate count (never from
+  /// `num_threads`, so the tree is thread-count-invariant); small
+  /// instances resolve to 0 and stay sequential. Without `deterministic`
+  /// denseMBB forks on demand, when a worker goes idle, and the depth
+  /// only switches the task layer on (non-zero) or off (0). Phases
+  /// without a subtree layer ignore it.
   std::uint32_t spawn_depth = 0;
   /// Thread-count-invariant results. Forked subtrees prune against their
   /// spawner's incumbent snapshot, and the parallel scans against the
@@ -212,7 +215,9 @@ struct SearchStats {
   std::uint64_t max_depth = 0;
 
   // Work-stealing subtree parallelism (denseMBB with num_threads > 1).
-  /// Subtrees forked as tasks at shallow depths (< spawn_depth).
+  /// Subtrees forked as tasks: the deterministic tree above spawn_depth,
+  /// or, by default, the pending branches donated to idle workers (a
+  /// timing-dependent count that grows with the thread count).
   std::uint64_t tasks_spawned = 0;
   /// Spawned subtrees that ran on a worker other than their spawner.
   std::uint64_t tasks_stolen = 0;

@@ -127,20 +127,38 @@ void StealScheduler::WorkerLoop(std::size_t worker) {
   // only, so a given worker probes victims in a reproducible order.
   std::uint64_t rng = 0x9e3779b97f4a7c15ULL * (worker + 1);
   Task task;
+  // Whether this worker is counted in `idle_`: raised on the first empty
+  // look, lowered as soon as it finds a task or leaves.
+  bool idle = false;
+  const auto set_idle = [this, &idle](bool now) {
+    if (idle == now) return;
+    idle = now;
+    if (now) {
+      idle_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      idle_.fetch_sub(1, std::memory_order_relaxed);
+    }
+  };
   while (true) {
     if (deques_[worker].PopBottom(task)) {
+      set_idle(false);
       Execute(worker, task);
       continue;
     }
     if (TrySteal(worker, rng, task)) {
+      set_idle(false);
       stolen_.fetch_add(1, std::memory_order_relaxed);
       Execute(worker, task);
       continue;
     }
+    set_idle(true);
     // Nothing local, nothing stealable. `outstanding_` counts spawned but
     // unfinished tasks, and is incremented before a task becomes visible,
     // so zero here means the whole task graph is done.
-    if (outstanding_.load(std::memory_order_acquire) == 0) return;
+    if (outstanding_.load(std::memory_order_acquire) == 0) {
+      set_idle(false);
+      return;
+    }
     std::this_thread::yield();
   }
 }

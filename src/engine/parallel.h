@@ -109,6 +109,12 @@ class StealScheduler {
   std::uint64_t tasks_stolen() const {
     return stolen_.load(std::memory_order_relaxed);
   }
+  /// Workers that found neither a local nor a stealable task on their last
+  /// look and are waiting for one. A running task reads it (relaxed) to
+  /// decide whether to split off work; 0 once `Run()` has returned.
+  std::size_t idle_workers() const {
+    return idle_.load(std::memory_order_relaxed);
+  }
 
  private:
   void WorkerLoop(std::size_t worker);
@@ -119,6 +125,7 @@ class StealScheduler {
   std::atomic<std::size_t> outstanding_{0};
   std::atomic<std::uint64_t> spawned_{0};
   std::atomic<std::uint64_t> stolen_{0};
+  std::atomic<std::size_t> idle_{0};
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
 };

@@ -4,7 +4,9 @@
 /// in deterministic mode the same *biclique* and the same traversal), and
 /// the parallel bridge scan.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -166,6 +168,24 @@ TEST(StealScheduler, EmptyRunTerminates) {
   EXPECT_EQ(scheduler.tasks_spawned(), 0u);
 }
 
+TEST(StealScheduler, CountsIdleWorkers) {
+  StealScheduler scheduler(2);
+  std::size_t seen = 0;
+  scheduler.Spawn(0, [&](std::size_t) {
+    // One long task: the other worker finds nothing to run or steal.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (scheduler.idle_workers() < 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    seen = scheduler.idle_workers();
+  });
+  scheduler.Run();
+  EXPECT_EQ(seen, 1u);
+  EXPECT_EQ(scheduler.idle_workers(), 0u);
+}
+
 TEST(StealScheduler, PropagatesFirstException) {
   StealScheduler scheduler(2);
   std::atomic<int> survivors{0};
@@ -251,6 +271,43 @@ TEST(ParallelDense, AnchoredMatchesSequentialSize) {
   }
 }
 
+TEST(ParallelDense, OnDemandDonationMatchesSequential) {
+  // Large enough that the auto policy enables the task layer (>= 64
+  // candidates) and idle workers make the running search donate pending
+  // inclusion branches; small enough to repeat under TSan.
+  const struct {
+    std::uint32_t n;
+    double density;
+    std::uint64_t seed;
+  } instances[] = {{56, 0.92, 19}, {60, 0.92, 5},  {56, 0.92, 30},
+                   {60, 0.92, 2},  {56, 0.92, 13}, {56, 0.92, 34},
+                   {60, 0.92, 10}, {56, 0.92, 1},  {56, 0.90, 40},
+                   {64, 0.92, 3}};
+  std::uint64_t spawned = 0;
+  for (const auto& instance : instances) {
+    const BipartiteGraph g = RandomGraph(instance.n, instance.n,
+                                         instance.density, instance.seed);
+    const DenseSubgraph dense = WholeGraphDense(g);
+    const std::uint32_t sequential = DenseMbbSolve(dense).best.BalancedSize();
+    for (const std::uint32_t threads : {2u, 4u, 8u}) {
+      DenseMbbOptions options;
+      options.num_threads = threads;
+      const MbbResult result = DenseMbbSolve(dense, options);
+      EXPECT_EQ(result.best.BalancedSize(), sequential)
+          << instance.n << "x" << instance.n << " d" << instance.density
+          << " seed=" << instance.seed << " threads=" << threads;
+      EXPECT_TRUE(result.exact);
+      EXPECT_TRUE(result.best.IsBicliqueIn(g))
+          << "seed=" << instance.seed << " threads=" << threads;
+      EXPECT_LE(result.stats.tasks_stolen, result.stats.tasks_spawned);
+      spawned += result.stats.tasks_spawned;
+    }
+  }
+  // Donation depends on timing run by run, but over 30 solves some worker
+  // must have gone idle while a search still had a pending branch.
+  EXPECT_GT(spawned, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic mode: bit-identical results and traversals across thread
 // counts (the T=1 reference also runs through the task driver).
@@ -307,15 +364,25 @@ TEST(ParallelDense, TaskCountersAccount) {
   const BipartiteGraph g = RandomGraph(24, 24, 0.8, 5);
   const DenseSubgraph dense = WholeGraphDense(g);
 
-  // Sequential runs must not spawn.
-  const MbbResult sequential = DenseMbbSolve(dense);
-  EXPECT_EQ(sequential.stats.tasks_spawned, 0u);
-  EXPECT_EQ(sequential.stats.tasks_stolen, 0u);
+  // Sequential runs must not spawn, with or without a spawn depth: one
+  // worker has nobody to donate to.
+  for (const MbbResult& sequential :
+       {DenseMbbSolve(dense),
+        DenseMbbSolve(dense, ParallelOptions(1, /*det=*/false))}) {
+    EXPECT_EQ(sequential.stats.tasks_spawned, 0u);
+    EXPECT_EQ(sequential.stats.tasks_stolen, 0u);
+  }
 
-  const MbbResult parallel =
+  // The deterministic task tree is forked whatever the timing.
+  const MbbResult tree = DenseMbbSolve(dense, ParallelOptions(4, /*det=*/true));
+  EXPECT_GT(tree.stats.tasks_spawned, 0u);
+  EXPECT_LE(tree.stats.tasks_stolen, tree.stats.tasks_spawned);
+
+  // On demand, whether any worker went idle in time is a timing property,
+  // so only the accounting identity holds run by run.
+  const MbbResult on_demand =
       DenseMbbSolve(dense, ParallelOptions(4, /*det=*/false));
-  EXPECT_GT(parallel.stats.tasks_spawned, 0u);
-  EXPECT_LE(parallel.stats.tasks_stolen, parallel.stats.tasks_spawned);
+  EXPECT_LE(on_demand.stats.tasks_stolen, on_demand.stats.tasks_spawned);
 }
 
 TEST(ParallelDense, PreTrippedStopTokenAbortsEveryTask) {
