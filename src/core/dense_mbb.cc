@@ -165,7 +165,19 @@ class DenseMbbSearcher {
       if (kOnDemand && Hungry()) DonateShallowest();
 
       // Reduction to fixpoint (Lemmas 1 and 2), interleaved with the
-      // bounding condition and leaf detection.
+      // bounding condition and leaf detection. Each pass also collects the
+      // degree profile of the candidates it keeps: the branch vertex (the
+      // most missing cross neighbours; left before right, ascending id, the
+      // first strict maximum wins) and the per-side counts of candidates
+      // missing any, for the feasibility bound. The pass that changes
+      // nothing leaves ca and cb final, so its profile is the node's.
+      // Without reductions the first pass removes nothing and is that pass.
+      Side branch_side = Side::kLeft;
+      VertexId branch_vertex = 0;
+      std::uint32_t max_missing = 0;
+      std::uint32_t nonfull_left = 0;
+      std::uint32_t nonfull_right = 0;
+      const bool reduce = options_.use_reductions;
       while (true) {
         const std::uint32_t potential_a =
             static_cast<std::uint32_t>(a_.size()) + ca_count;
@@ -184,8 +196,12 @@ class DenseMbbSearcher {
           RecordLeaf(ca, cb);
           return false;
         }
-        if (!options_.use_reductions) break;
 
+        branch_side = Side::kLeft;
+        branch_vertex = 0;
+        max_missing = 0;
+        nonfull_left = 0;
+        nonfull_right = 0;
         bool changed = false;
         // Left candidates. Each iteration reads one adjacency row a fixed
         // stride away from the last; the next row is prefetched while the
@@ -196,18 +212,26 @@ class DenseMbbSearcher {
           if (next >= 0) g_.LeftRow(static_cast<VertexId>(next)).Prefetch();
           const std::uint32_t du = static_cast<std::uint32_t>(
               g_.LeftRow(static_cast<VertexId>(u)).CountAnd(cb));
-          if (du == cb_count) {
+          if (reduce && du == cb_count) {
             a_.push_back(static_cast<VertexId>(u));
             ca.Reset(static_cast<std::size_t>(u));
             --ca_count;
             ++stats_.reduction_promoted;
             changed = true;
-          } else if (static_cast<std::uint32_t>(b_.size()) + du <=
-                     best_size_) {
+          } else if (reduce &&
+                     static_cast<std::uint32_t>(b_.size()) + du <=
+                         best_size_) {
             ca.Reset(static_cast<std::size_t>(u));
             --ca_count;
             ++stats_.reduction_removed;
             changed = true;
+          } else {
+            const std::uint32_t missing = cb_count - du;
+            nonfull_left += missing > 0 ? 1 : 0;
+            if (missing > max_missing) {
+              max_missing = missing;
+              branch_vertex = static_cast<VertexId>(u);
+            }
           }
           u = next;
         }
@@ -217,59 +241,31 @@ class DenseMbbSearcher {
           if (next >= 0) g_.RightRow(static_cast<VertexId>(next)).Prefetch();
           const std::uint32_t dv = static_cast<std::uint32_t>(
               g_.RightRow(static_cast<VertexId>(v)).CountAnd(ca));
-          if (dv == ca_count) {
+          if (reduce && dv == ca_count) {
             b_.push_back(static_cast<VertexId>(v));
             cb.Reset(static_cast<std::size_t>(v));
             --cb_count;
             ++stats_.reduction_promoted;
             changed = true;
-          } else if (static_cast<std::uint32_t>(a_.size()) + dv <=
-                     best_size_) {
+          } else if (reduce &&
+                     static_cast<std::uint32_t>(a_.size()) + dv <=
+                         best_size_) {
             cb.Reset(static_cast<std::size_t>(v));
             --cb_count;
             ++stats_.reduction_removed;
             changed = true;
+          } else {
+            const std::uint32_t missing = ca_count - dv;
+            nonfull_right += missing > 0 ? 1 : 0;
+            if (missing > max_missing) {
+              max_missing = missing;
+              branch_side = Side::kRight;
+              branch_vertex = static_cast<VertexId>(v);
+            }
           }
           v = next;
         }
         if (!changed) break;
-      }
-
-      // The reduction loop exits either via return or with both candidate
-      // sides non-empty; re-derive the branching information and collect
-      // the candidate degree profiles for the feasibility bound.
-      Side branch_side = Side::kLeft;
-      VertexId branch_vertex = 0;
-      std::uint32_t max_missing = 0;
-      std::uint32_t nonfull_left = 0;
-      std::uint32_t nonfull_right = 0;
-      for (int u = ca.FindFirst(); u >= 0;) {
-        const int next = ca.FindNext(static_cast<std::size_t>(u));
-        if (next >= 0) g_.LeftRow(static_cast<VertexId>(next)).Prefetch();
-        const std::uint32_t du = static_cast<std::uint32_t>(
-            g_.LeftRow(static_cast<VertexId>(u)).CountAnd(cb));
-        const std::uint32_t missing = cb_count - du;
-        nonfull_left += missing > 0 ? 1 : 0;
-        if (missing > max_missing) {
-          max_missing = missing;
-          branch_side = Side::kLeft;
-          branch_vertex = static_cast<VertexId>(u);
-        }
-        u = next;
-      }
-      for (int v = cb.FindFirst(); v >= 0;) {
-        const int next = cb.FindNext(static_cast<std::size_t>(v));
-        if (next >= 0) g_.RightRow(static_cast<VertexId>(next)).Prefetch();
-        const std::uint32_t dv = static_cast<std::uint32_t>(
-            g_.RightRow(static_cast<VertexId>(v)).CountAnd(ca));
-        const std::uint32_t missing = ca_count - dv;
-        nonfull_right += missing > 0 ? 1 : 0;
-        if (missing > max_missing) {
-          max_missing = missing;
-          branch_side = Side::kRight;
-          branch_vertex = static_cast<VertexId>(v);
-        }
-        v = next;
       }
 
       // Matching (König) bound — one of the paper's unstated "obvious
@@ -528,53 +524,52 @@ class DenseMbbSearcher {
   }
 
   /// Maximum matching of the bipartite complement restricted to the
-  /// candidate sets, via Kuhn's augmenting paths. Only vertices that miss
-  /// at least one cross neighbour participate. Stops as soon as `target`
-  /// edges are matched (the caller only cares whether ν >= target). All
-  /// working memory comes from the context's pooled matching scratch.
+  /// candidate sets, via Kuhn's augmenting paths run on the bitsets: a
+  /// left candidate's complement neighbours are `cb & ~LeftRow(u)`, read
+  /// word by word, never listed. Stops as soon as `target` edges are
+  /// matched (the caller only cares whether ν >= target). All working
+  /// memory comes from the context's pooled matching scratch.
   std::uint32_t ComplementMatching(BitSpan ca, BitSpan cb,
                                    std::uint32_t target) {
     SearchContext::MatchingScratch& m = ctx_.matching();
     if (m.match_of_right.size() < g_.num_right()) {
       m.match_of_right.assign(g_.num_right(), -1);
-      m.seen.assign(g_.num_right(), 0);
     }
-    m.BeginRound();
-    for (int u = ca.FindFirst(); u >= 0; u = ca.FindNext(u)) {
-      // missing = cb \ N(u), built in one fused sweep.
-      m.missing.AssignAndNot(cb, g_.LeftRow(static_cast<VertexId>(u)));
-      if (m.missing.None()) continue;
-      m.left.push_back(static_cast<VertexId>(u));
-      std::vector<std::uint32_t>& row = m.NextRow();
-      m.missing.ForEach([&row](std::size_t v) {
-        row.push_back(static_cast<std::uint32_t>(v));
-      });
-    }
-
     std::uint32_t matched = 0;
     m.touched_right.clear();
-    for (std::size_t i = 0; i < m.left.size() && matched < target; ++i) {
-      ++m.round;
-      if (TryAugment(m, i)) ++matched;
+    for (int u = ca.FindFirst(); u >= 0 && matched < target;
+         u = ca.FindNext(static_cast<std::size_t>(u))) {
+      m.unvisited.CopyFrom(cb);
+      if (TryAugment(m, static_cast<VertexId>(u))) ++matched;
     }
     for (const VertexId v : m.touched_right) m.match_of_right[v] = -1;
     return matched;
   }
 
-  // Augmenting-path DFS over complement adjacency; `m.round` stamps
-  // visited right vertices.
-  bool TryAugment(SearchContext::MatchingScratch& m, std::size_t left_index) {
-    for (const std::uint32_t v : m.adj[left_index]) {
-      if (m.seen[v] == m.round) continue;
-      m.seen[v] = m.round;
-      if (m.match_of_right[v] < 0) {
-        m.match_of_right[v] = static_cast<std::int32_t>(left_index);
-        m.touched_right.push_back(static_cast<VertexId>(v));
-        return true;
-      }
-      if (TryAugment(m, static_cast<std::size_t>(m.match_of_right[v]))) {
-        m.match_of_right[v] = static_cast<std::int32_t>(left_index);
-        return true;
+  // Augmenting-path DFS from left vertex `u` over complement adjacency.
+  // `m.unvisited` holds the right candidates this search has not visited
+  // yet; the next one to try is the lowest bit of `unvisited & ~N(u)`, so
+  // right vertices are tried in ascending order and each at most once.
+  bool TryAugment(SearchContext::MatchingScratch& m, VertexId u) {
+    const std::uint64_t* row = g_.LeftRow(u).words();
+    std::uint64_t* unvisited = m.unvisited.words();
+    const std::size_t words = m.unvisited.word_count();
+    for (std::size_t w = 0; w < words; ++w) {
+      // Re-read the word after each recursion: deeper calls visit more.
+      for (std::uint64_t bits; (bits = unvisited[w] & ~row[w]) != 0;) {
+        const std::uint64_t lowest = bits & (~bits + 1);
+        unvisited[w] &= ~lowest;
+        const VertexId v =
+            static_cast<VertexId>((w << 6) + __builtin_ctzll(lowest));
+        if (m.match_of_right[v] < 0) {
+          m.match_of_right[v] = static_cast<std::int32_t>(u);
+          m.touched_right.push_back(v);
+          return true;
+        }
+        if (TryAugment(m, static_cast<VertexId>(m.match_of_right[v]))) {
+          m.match_of_right[v] = static_cast<std::int32_t>(u);
+          return true;
+        }
       }
     }
     return false;

@@ -52,7 +52,14 @@ class SizeConstrainedSearcher {
       std::uint32_t ca_count = static_cast<std::uint32_t>(ca.Count());
       std::uint32_t cb_count = static_cast<std::uint32_t>(cb.Count());
 
-      // Reductions: candidates that cannot carry the per-side target.
+      // Reductions: candidates that cannot carry the per-side target. Each
+      // pass also picks the branch vertex among the candidates it keeps:
+      // the most missing cross neighbours, left before right, ascending
+      // id, the first candidate or a strictly larger count wins. The pass
+      // that changes nothing leaves ca and cb final, so its pick stands.
+      Side branch_side = Side::kLeft;
+      VertexId branch_vertex = 0;
+      bool any = false;
       while (true) {
         if (a_.size() + ca_count < target_a_ ||
             b_.size() + cb_count < target_b_) {
@@ -62,6 +69,9 @@ class SizeConstrainedSearcher {
           RecordWitness();
           return true;
         }
+        branch_side = Side::kLeft;
+        std::uint32_t max_missing = 0;
+        any = false;
         bool changed = false;
         for (int u = ca.FindFirst(); u >= 0; u = ca.FindNext(u)) {
           const std::uint32_t du = static_cast<std::uint32_t>(
@@ -75,6 +85,10 @@ class SizeConstrainedSearcher {
             ca.Reset(static_cast<std::size_t>(u));
             --ca_count;
             changed = true;
+          } else if (!any || cb_count - du > max_missing) {
+            any = true;
+            max_missing = cb_count - du;
+            branch_vertex = static_cast<VertexId>(u);
           }
         }
         for (int v = cb.FindFirst(); v >= 0; v = cb.FindNext(v)) {
@@ -89,6 +103,11 @@ class SizeConstrainedSearcher {
             cb.Reset(static_cast<std::size_t>(v));
             --cb_count;
             changed = true;
+          } else if (!any || ca_count - dv > max_missing) {
+            any = true;
+            max_missing = ca_count - dv;
+            branch_side = Side::kRight;
+            branch_vertex = static_cast<VertexId>(v);
           }
         }
         if (!changed) break;
@@ -116,32 +135,6 @@ class SizeConstrainedSearcher {
       }
 
       // Branch on the max-missing candidate, exclusion first.
-      Side branch_side = Side::kLeft;
-      VertexId branch_vertex = 0;
-      std::uint32_t max_missing = 0;
-      bool any = false;
-      for (int u = ca.FindFirst(); u >= 0; u = ca.FindNext(u)) {
-        const std::uint32_t missing =
-            cb_count - static_cast<std::uint32_t>(
-                           g_.LeftRow(static_cast<VertexId>(u)).CountAnd(cb));
-        if (!any || missing > max_missing) {
-          any = true;
-          max_missing = missing;
-          branch_side = Side::kLeft;
-          branch_vertex = static_cast<VertexId>(u);
-        }
-      }
-      for (int v = cb.FindFirst(); v >= 0; v = cb.FindNext(v)) {
-        const std::uint32_t missing =
-            ca_count - static_cast<std::uint32_t>(
-                           g_.RightRow(static_cast<VertexId>(v)).CountAnd(ca));
-        if (!any || missing > max_missing) {
-          any = true;
-          max_missing = missing;
-          branch_side = Side::kRight;
-          branch_vertex = static_cast<VertexId>(v);
-        }
-      }
       if (!any) return false;
 
       const std::size_t a_mark = a_.size();

@@ -12,9 +12,9 @@ void SearchContext::PrepareFrames(std::size_t max_bits) {
       std::max<std::size_t>(BitMatrix::StrideWords(max_bits), 1);
   // Sized independently of the frame stride: a context whose stride was
   // fixed by an unprepared Frame() call still needs its matching row.
-  if (needed > missing_arena_.stride_words()) {
-    missing_arena_ = BitMatrix(1, needed * 64);
-    matching_.missing = missing_arena_.EmptyRow(0);
+  if (needed > unvisited_arena_.stride_words()) {
+    unvisited_arena_ = BitMatrix(1, needed * 64);
+    matching_.unvisited = unvisited_arena_.EmptyRow(0);
   }
   if (needed <= stride_words_) return;
   // Re-carve the pool at the wider stride. Safe only between searches:

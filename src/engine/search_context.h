@@ -47,35 +47,16 @@ class SearchContext {
     BitRow cb;
   };
 
-  /// Scratch for denseMBB's complement-matching (König) bound: the
-  /// participating left vertices, their complement adjacency rows (pooled
-  /// — `rows_used` says how many are live this round), Kuhn's matching
-  /// state, and the per-candidate difference row (frame-wide, sized by
+  /// Scratch for denseMBB's complement-matching (König) bound, which runs
+  /// Kuhn's augmenting paths on the candidate bitsets: the matched left
+  /// vertex of each right vertex (-1 when free), the right vertices
+  /// matched this round (reset on exit), and the row of right candidates
+  /// the current augmenting search has not visited (frame-wide, sized by
   /// `PrepareFrames`).
   struct MatchingScratch {
-    std::vector<VertexId> left;
-    std::vector<std::vector<std::uint32_t>> adj;
-    std::size_t rows_used = 0;
     std::vector<std::int32_t> match_of_right;
-    std::vector<std::uint64_t> seen;
     std::vector<VertexId> touched_right;
-    std::uint64_t round = 0;
-    BitRow missing;
-
-    /// Starts a new bound computation: clears the participant list and
-    /// recycles the adjacency rows without releasing their capacity.
-    void BeginRound() {
-      left.clear();
-      rows_used = 0;
-    }
-
-    /// Returns a cleared adjacency row, reusing a pooled vector.
-    std::vector<std::uint32_t>& NextRow() {
-      if (rows_used == adj.size()) adj.emplace_back();
-      std::vector<std::uint32_t>& row = adj[rows_used++];
-      row.clear();
-      return row;
-    }
+    BitRow unvisited;
   };
 
   /// Levels per slab allocation. 16 levels x 2 rows x the stride — deep
@@ -86,7 +67,7 @@ class SearchContext {
   SearchContext(const SearchContext&) = delete;
   SearchContext& operator=(const SearchContext&) = delete;
 
-  /// Ensures every frame row — and the matching scratch's `missing` row —
+  /// Ensures every frame row — and the matching scratch's `unvisited` row —
   /// can hold at least `max_bits` bits. Search entry points call this with
   /// `max(num_left, num_right)` before taking `Frame(0)`. Growing the
   /// stride discards existing frames and slabs, so it must only be called
@@ -127,8 +108,8 @@ class SearchContext {
   std::size_t stride_words_ = 0;
   std::vector<BitMatrix> slabs_;
   std::deque<BranchFrame> frames_;
-  // Backs `matching_.missing`; grown by PrepareFrames, never shrunk.
-  BitMatrix missing_arena_;
+  // Backs `matching_.unvisited`; grown by PrepareFrames, never shrunk.
+  BitMatrix unvisited_arena_;
   MatchingScratch matching_;
   std::vector<std::uint32_t> score_scratch_;
 };

@@ -420,20 +420,6 @@ TEST(SearchContext, FramesGrowOnDemandAndStayStable) {
   EXPECT_EQ(f0.ca.Count(), 64u);
 }
 
-TEST(SearchContext, MatchingScratchRecyclesRows) {
-  SearchContext ctx;
-  SearchContext::MatchingScratch& m = ctx.matching();
-  m.BeginRound();
-  m.NextRow().push_back(7);
-  m.NextRow().push_back(9);
-  EXPECT_EQ(m.rows_used, 2u);
-  m.BeginRound();
-  EXPECT_EQ(m.rows_used, 0u);
-  std::vector<std::uint32_t>& row = m.NextRow();
-  EXPECT_TRUE(row.empty());  // recycled row comes back cleared
-  EXPECT_EQ(m.adj.size(), 2u);
-}
-
 TEST(SearchContext, SharedContextGivesIdenticalResults) {
   // Reusing one arena across many searches must not change any outcome.
   SearchContext shared;

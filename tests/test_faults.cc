@@ -558,7 +558,7 @@ TEST_F(FaultsTest, WatchdogLeavesAHealthySlowSolveAlone) {
   options.watchdog_stall_ms = 60;
   Server server(options);
 
-  Request hard = SolveRequest("hard", testing::RandomGraph(64, 64, 0.9, 3),
+  Request hard = SolveRequest("hard", testing::UnfinishableDenseGraph(3),
                               "dense");
   hard.deadline_ms = 5;
   hard.use_cache = false;

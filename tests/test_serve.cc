@@ -363,7 +363,7 @@ TEST(ServeServer, UnknownAlgoAndOverloadAreRejected) {
   std::atomic<int> done{0};
   Request hard;
   hard.algo = "dense";
-  hard.graph = testing::RandomGraph(64, 64, 0.9, 3);
+  hard.graph = testing::UnfinishableDenseGraph(3);
   hard.use_cache = false;
   hard.id = "hard-0";
   server.Submit(hard, [&](const Response&) { done.fetch_add(1); });
@@ -389,7 +389,7 @@ TEST(ServeServer, CancelStopsQueuedAndRunningJobs) {
   Server server(SmallServer(1));
   Request hard;
   hard.algo = "dense";
-  hard.graph = testing::RandomGraph(64, 64, 0.9, 7);
+  hard.graph = testing::UnfinishableDenseGraph(7);
   hard.use_cache = false;
 
   hard.id = "running";
@@ -427,7 +427,7 @@ TEST(ServeServer, ShortDeadlineReturnsInexactWithCause) {
   Request hard;
   hard.id = "deadline";
   hard.algo = "dense";
-  hard.graph = testing::RandomGraph(64, 64, 0.9, 5);
+  hard.graph = testing::UnfinishableDenseGraph(5);
   hard.deadline_ms = 5;
   hard.use_cache = false;
   const Response response = server.SubmitAndWait(hard);
@@ -457,7 +457,7 @@ TEST(ServeServer, SjfRunsCheapQueriesFirstUnlessFifo) {
     Request blocker;
     blocker.id = "blocker";
     blocker.algo = "dense";
-    blocker.graph = testing::RandomGraph(64, 64, 0.9, 11);
+    blocker.graph = testing::UnfinishableDenseGraph(11);
     std::promise<Response> blocker_promise;
     auto blocker_future = blocker_promise.get_future();
     server.Submit(blocker,
@@ -541,7 +541,7 @@ TEST(ServeServer, ShutdownAnswersEveryQueuedJob) {
   std::atomic<int> answered{0};
   Request hard;
   hard.algo = "dense";
-  hard.graph = testing::RandomGraph(64, 64, 0.9, 17);
+  hard.graph = testing::UnfinishableDenseGraph(17);
   for (int i = 0; i < 4; ++i) {
     hard.id = "job-" + std::to_string(i);
     server.Submit(hard, [&](const Response&) { answered.fetch_add(1); });
@@ -608,7 +608,7 @@ TEST(ServeServer, DrainAndShutdownDeliverExactlyOneResponseEach) {
     Request request;
     request.id = "shutdown-" + std::to_string(i);
     request.algo = "dense";
-    request.graph = testing::RandomGraph(64, 64, 0.9, 100 + i);
+    request.graph = testing::UnfinishableDenseGraph(100 + i);
     server.Submit(request,
                   [&answers, slot](const Response&) { answers[slot]++; });
   }

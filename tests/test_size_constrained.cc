@@ -1,5 +1,9 @@
 #include "core/size_constrained.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/brute_force.h"
@@ -105,6 +109,73 @@ TEST_P(SizeConstrainedRandomTest, FeasibilityMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SizeConstrainedRandomTest,
                          ::testing::Range<std::uint64_t>(0, 12));
+
+/// Search pins: the witness each fixed (a, b) query returns and the number
+/// of recursions it takes, read off the recursion cap (the search stops at
+/// a cap one below the count and completes at the count). Any change to
+/// the branch rule, its tie order included, or to the reductions moves
+/// them.
+struct PinnedQuery {
+  std::uint32_t num_left;
+  std::uint32_t num_right;
+  double density;
+  std::uint64_t seed;
+  std::uint32_t a;
+  std::uint32_t b;
+  std::uint64_t recursions;
+  std::vector<VertexId> left;  // empty for an infeasible target
+  std::vector<VertexId> right;
+};
+
+TEST(SizeConstrainedPins, WitnessesAndRecursionsAreUnchanged) {
+  const PinnedQuery queries[] = {
+    {40, 40, 0.5, 1, 7, 7, 257,
+     {0, 4, 12, 27, 33, 37, 39},
+     {1, 10, 18, 27, 33, 37, 39}},
+    {40, 40, 0.5, 1, 10, 4, 37,
+     {0, 4, 9, 10, 14, 17, 21, 24, 29, 37, 39},
+     {10, 18, 25, 34}},
+    {40, 40, 0.5, 1, 8, 8, 231, {}, {}},
+    {48, 44, 0.7, 2, 12, 8, 687,
+     {0, 2, 5, 6, 9, 18, 19, 24, 41, 43, 44, 46},
+     {6, 13, 14, 17, 29, 30, 33, 36}},
+    {48, 44, 0.7, 2, 11, 11, 32485, {}, {}},
+    {56, 60, 0.85, 10, 19, 19, 44346,
+     {3, 4, 6, 9, 11, 15, 16, 21, 22, 28, 29, 32, 36, 40, 41, 44, 46, 48, 49},
+     {6, 7, 8, 10, 12, 15, 23, 31, 34, 39, 41, 42, 43, 45, 46, 48, 50, 55, 59}},
+    {56, 60, 0.85, 10, 25, 12, 7679,
+     {3, 4, 6, 9, 10, 11, 15, 16, 18, 19, 21, 22, 28, 29, 32, 36, 38, 40, 41,
+      44, 46, 48, 49, 50, 52},
+     {7, 8, 10, 23, 31, 34, 39, 42, 45, 48, 55, 59}},
+  };
+  for (const PinnedQuery& pin : queries) {
+    const BipartiteGraph g = testing::RandomGraph(
+        pin.num_left, pin.num_right, pin.density, pin.seed);
+    const DenseSubgraph s = testing::WholeGraphDense(g);
+    SCOPED_TRACE(::testing::Message()
+                 << pin.num_left << "x" << pin.num_right << " d"
+                 << pin.density << " seed " << pin.seed << " target ("
+                 << pin.a << "," << pin.b << ")");
+    const auto witness = FindSizeConstrainedBiclique(s, pin.a, pin.b);
+    ASSERT_EQ(witness.has_value(), !pin.left.empty());
+    if (witness.has_value()) {
+      std::vector<VertexId> left = witness->left;
+      std::vector<VertexId> right = witness->right;
+      std::sort(left.begin(), left.end());
+      std::sort(right.begin(), right.end());
+      EXPECT_EQ(left, pin.left);
+      EXPECT_EQ(right, pin.right);
+    }
+    SearchLimits limits;
+    StopCause cause = StopCause::kNone;
+    limits.max_recursions = pin.recursions;
+    FindSizeConstrainedBiclique(s, pin.a, pin.b, limits, &cause);
+    EXPECT_EQ(cause, StopCause::kNone);
+    limits.max_recursions = pin.recursions - 1;
+    FindSizeConstrainedBiclique(s, pin.a, pin.b, limits, &cause);
+    EXPECT_EQ(cause, StopCause::kRecursionCap);
+  }
+}
 
 TEST(MaximalBicliqueInstances, PathComplementMatchesObservation2) {
   // Complement of K(2,2) minus one edge = single complement edge = path of

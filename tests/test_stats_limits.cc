@@ -174,7 +174,7 @@ TEST(ExternalCancellation, SecondThreadStopsARunningSolve) {
   // from another thread while the solver is deep in its recursion. The
   // solve must return promptly, report the external cause, and leave its
   // SearchContext reusable for the next query.
-  const BipartiteGraph hard = testing::RandomGraph(72, 72, 0.90, 7);
+  const BipartiteGraph hard = testing::UnfinishableDenseGraph(7);
   SearchContext context;
   SolverOptions options;
   options.stop_token = std::make_shared<StopToken>();
@@ -194,7 +194,7 @@ TEST(ExternalCancellation, SecondThreadStopsARunningSolve) {
   EXPECT_FALSE(cancelled.exact);
   EXPECT_EQ(cancelled.stats.stop_cause, StopCause::kExternal);
   // The token is observed at every limit check, so the return is prompt
-  // even though the uncancelled solve runs for seconds (bound is generous
+  // even though the uncancelled solve outlasts the test (bound is generous
   // for the sanitizer legs).
   EXPECT_LT(seconds, 10.0);
 

@@ -53,6 +53,15 @@ inline BipartiteGraph RandomGraph(std::uint32_t nl, std::uint32_t nr,
   return RandomUniform(nl, nr, density, seed);
 }
 
+/// A dense job that outlasts any test window, for tests that need a solve
+/// still running after a short sleep (cancel, overload, shutdown, the
+/// watchdog): denseMBB does not finish 96x96 at d0.9 within 30 s at four
+/// threads on a 4-core x86 host. A tuned searcher ends a 64x64 d0.9 job
+/// in tens of milliseconds, which made such tests measure host speed.
+inline BipartiteGraph UnfinishableDenseGraph(std::uint64_t seed) {
+  return RandomGraph(96, 96, 0.9, seed);
+}
+
 }  // namespace mbb::testing
 
 #endif  // MBB_TESTS_TEST_UTIL_H_
