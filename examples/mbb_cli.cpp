@@ -239,6 +239,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  WallTimer load_timer;
   BipartiteGraph g;
   if (!input_file.empty()) {
     g = LoadEdgeListFile(input_file);
@@ -256,9 +257,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Load or generate time, so ingest and solve read apart.
+  const double load_seconds = load_timer.Seconds();
   std::cout << "graph: |L|=" << g.num_left() << " |R|=" << g.num_right()
             << " |E|=" << g.num_edges() << " density=" << g.Density()
-            << "\n";
+            << " load: " << load_seconds << "s\n";
 
   WallTimer timer;
   const MbbResult result = Solve(algorithm, g, timeout, threads, spawn_depth,

@@ -9,89 +9,76 @@ namespace mbb {
 
 namespace {
 
-/// First out-of-range endpoint of `edges`, formatted as a structured
-/// message ("edge 3: right id 12 out of range [0, 6)"); empty when every
-/// edge is valid. Release builds pay this O(|E|) scan so a hostile or
-/// buggy edge list fails loudly instead of corrupting the offset arrays —
-/// the same contract `ReadEdgeListSafe` gives file input.
-std::string ValidateEdges(std::uint32_t num_left, std::uint32_t num_right,
-                          const std::vector<Edge>& edges) {
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const Edge& e = edges[i];
-    if (e.first >= num_left) {
-      return "edge " + std::to_string(i) + ": left id " +
-             std::to_string(e.first) + " out of range [0, " +
-             std::to_string(num_left) + ")";
-    }
-    if (e.second >= num_right) {
-      return "edge " + std::to_string(i) + ": right id " +
-             std::to_string(e.second) + " out of range [0, " +
-             std::to_string(num_right) + ")";
-    }
-  }
-  return {};
+/// Structured message for edge `i`'s out-of-range endpoint ("edge 3: right
+/// id 12 out of range [0, 6)").
+std::string OutOfRange(std::size_t i, const char* side, VertexId id,
+                       std::uint32_t bound) {
+  return "edge " + std::to_string(i) + ": " + side + " id " +
+         std::to_string(id) + " out of range [0, " + std::to_string(bound) +
+         ")";
 }
 
 }  // namespace
 
+// One pass counts left degrees and validates every endpoint — in release
+// builds too, so a hostile or buggy edge list fails loudly instead of
+// corrupting the offset arrays (the contract `ReadEdgeListSafe` gives file
+// input). The right ids are then scattered into their left rows, each row
+// is sorted and deduplicated on its own (rows are short next to |E|), and
+// `FromCsrLeft` derives the right side: O(|E| + Σ d·log d) with no global
+// edge sort.
 bool BipartiteGraph::TryFromEdges(std::uint32_t num_left,
                                   std::uint32_t num_right,
                                   std::vector<Edge> edges,
                                   BipartiteGraph* out, std::string* error) {
-  std::string message = ValidateEdges(num_left, num_right, edges);
-  if (!message.empty()) {
-    if (error != nullptr) *error = std::move(message);
-    return false;
+  std::vector<std::uint64_t> offsets(num_left + std::size_t{1}, 0);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto [l, r] = edges[i];
+    if (l >= num_left || r >= num_right) {
+      if (error != nullptr) {
+        *error = l >= num_left ? OutOfRange(i, "left", l, num_left)
+                               : OutOfRange(i, "right", r, num_right);
+      }
+      return false;
+    }
+    ++offsets[l + 1];
   }
-  *out = FromEdges(num_left, num_right, std::move(edges));
+  for (std::size_t l = 1; l < offsets.size(); ++l) {
+    offsets[l] += offsets[l - 1];
+  }
+
+  std::vector<VertexId> adj(edges.size());
+  {
+    std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const auto& [l, r] : edges) adj[cursor[l]++] = r;
+  }
+  edges = {};
+
+  // Sort and dedup each row in place, sliding it down over the duplicates
+  // dropped from earlier rows.
+  auto read = adj.begin();
+  auto write = adj.begin();
+  for (std::uint32_t l = 0; l < num_left; ++l) {
+    const auto end = adj.begin() + static_cast<std::ptrdiff_t>(offsets[l + 1]);
+    std::sort(read, end);
+    write = std::copy(read, std::unique(read, end), write);
+    read = end;
+    offsets[l + 1] = static_cast<std::uint64_t>(write - adj.begin());
+  }
+  adj.erase(write, adj.end());
+  adj.shrink_to_fit();  // a no-op unless duplicates were dropped
+
+  *out = FromCsrLeft(num_left, num_right, std::move(offsets), std::move(adj));
   return true;
 }
 
 BipartiteGraph BipartiteGraph::FromEdges(std::uint32_t num_left,
                                          std::uint32_t num_right,
                                          std::vector<Edge> edges) {
-  const std::string message = ValidateEdges(num_left, num_right, edges);
-  if (!message.empty()) throw std::invalid_argument(message);
-
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
   BipartiteGraph g;
-  g.num_left_ = num_left;
-  g.num_right_ = num_right;
-  g.left_offsets_.assign(num_left + std::size_t{1}, 0);
-  g.right_offsets_.assign(num_right + std::size_t{1}, 0);
-
-  for (const Edge& e : edges) {
-    ++g.left_offsets_[e.first + 1];
-    ++g.right_offsets_[e.second + 1];
-  }
-  for (std::size_t i = 1; i < g.left_offsets_.size(); ++i) {
-    g.left_offsets_[i] += g.left_offsets_[i - 1];
-  }
-  for (std::size_t i = 1; i < g.right_offsets_.size(); ++i) {
-    g.right_offsets_[i] += g.right_offsets_[i - 1];
-  }
-
-  g.left_adj_.resize(edges.size());
-  g.right_adj_.resize(edges.size());
-  // Edges are sorted by (left, right), so filling the left CSR in order
-  // keeps per-vertex neighbour lists sorted.
-  {
-    std::vector<std::uint64_t> cursor(g.left_offsets_.begin(),
-                                      g.left_offsets_.end() - 1);
-    for (const Edge& e : edges) {
-      g.left_adj_[cursor[e.first]++] = e.second;
-    }
-  }
-  {
-    std::vector<std::uint64_t> cursor(g.right_offsets_.begin(),
-                                      g.right_offsets_.end() - 1);
-    // Iterating in (left, right) order fills each right vertex's list with
-    // increasing left ids.
-    for (const Edge& e : edges) {
-      g.right_adj_[cursor[e.second]++] = e.first;
-    }
+  std::string error;
+  if (!TryFromEdges(num_left, num_right, std::move(edges), &g, &error)) {
+    throw std::invalid_argument(error);
   }
   return g;
 }

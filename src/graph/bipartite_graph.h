@@ -36,11 +36,12 @@ class BipartiteGraph {
  public:
   BipartiteGraph() = default;
 
-  /// Builds a graph from an edge list. Duplicate edges are merged. Edges
-  /// referencing vertices outside `[0, num_left) x [0, num_right)` throw
-  /// `std::invalid_argument` naming the offending edge — in release builds
-  /// too, matching the structured-error contract of `ReadEdgeListSafe`
-  /// (an out-of-range endpoint used to be silent UB outside debug builds).
+  /// Builds a graph from an edge list in any order. Duplicate edges are
+  /// merged. Edges referencing vertices outside `[0, num_left) x
+  /// [0, num_right)` throw `std::invalid_argument` naming the offending
+  /// edge — in release builds too, matching the structured-error contract
+  /// of `ReadEdgeListSafe`. Linear in `|E|` apart from sorting each left
+  /// row: there is no global edge sort.
   static BipartiteGraph FromEdges(std::uint32_t num_left,
                                   std::uint32_t num_right,
                                   std::vector<Edge> edges);
@@ -54,8 +55,9 @@ class BipartiteGraph {
 
   /// Trusted fast path: adopts a ready left-side CSR (per-vertex neighbour
   /// lists sorted and duplicate-free — asserted in debug builds) and
-  /// derives the right-side arrays in O(|E|), skipping the `FromEdges`
-  /// sort entirely. `CsrScratch::Compact` builds through this.
+  /// derives the right-side arrays in O(|E|), skipping the per-row sorts
+  /// of `FromEdges`. `FromEdges` and `CsrScratch::Compact` build through
+  /// this.
   static BipartiteGraph FromCsrLeft(std::uint32_t num_left,
                                     std::uint32_t num_right,
                                     std::vector<std::uint64_t> left_offsets,

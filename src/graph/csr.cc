@@ -55,7 +55,7 @@ void CsrScratch::Reset(std::uint32_t num_left, std::uint32_t num_right,
 void CsrScratch::BuildRightFromLeft() {
   // Counting pass: left rows are visited in increasing new-left id with
   // sorted right ids, so each right vertex's list fills with increasing
-  // left ids — sorted without sorting (the `FromEdges` trick).
+  // left ids — sorted without sorting (as in `FromCsrLeft`).
   const std::uint32_t num_right = static_cast<std::uint32_t>(alive_[1].size());
   offsets_[1].assign(num_right + 1, 0);
   for (const VertexId r : adj_[0]) ++offsets_[1][r + 1];
@@ -126,8 +126,8 @@ void CsrScratch::LoadSubgraph(const BipartiteGraph& g,
       if (map_stamp_[r] == map_round_) adj_[0].push_back(map_[r]);
     }
     // New right ids follow `right_keep`'s order, so a row mapped from the
-    // old-id-sorted adjacency is generally unsorted; rows are tiny, so a
-    // per-row sort beats the global edge sort `Induce` pays.
+    // old-id-sorted adjacency is generally unsorted; each row is sorted on
+    // its own, as in `FromEdges`.
     std::sort(adj_[0].begin() + static_cast<std::ptrdiff_t>(row_begin),
               adj_[0].end());
     offsets_[0].push_back(adj_[0].size());

@@ -65,8 +65,8 @@ struct PeelStats {
 /// Mutable CSR scratch for in-place sparse reduction: a re-indexed copy of
 /// a graph (or of a vertex-induced subgraph) supporting vertex and edge
 /// deletion with O(1) degree queries, queue-based core peeling, and O(|E|)
-/// compaction back into a `BipartiteGraph` — without the global edge sort
-/// `BipartiteGraph::FromEdges` pays.
+/// compaction back into a `BipartiteGraph` through `FromCsrLeft`, without
+/// an edge list or the per-row sorts of `BipartiteGraph::FromEdges`.
 ///
 /// Deletions are tombstones: a dead vertex keeps its adjacency entries but
 /// neighbour iteration skips entries whose edge or endpoint is dead, and
@@ -195,7 +195,7 @@ class CsrScratch {
 
 /// Drop-in replacement for `BipartiteGraph::Induce` routed through a
 /// reusable `CsrScratch`: the same `InducedSubgraph` bit for bit, built in
-/// O(Σ deg(left_keep)) without the global `FromEdges` sort. This is the
+/// O(Σ deg(left_keep)) with reused buffers and no edge list. This is the
 /// sparse path's workhorse for the step-2 bridge scan and the step-1
 /// reduction.
 InducedSubgraph CsrInduce(const BipartiteGraph& g,

@@ -218,9 +218,8 @@ BipartiteGraph GenerateSurrogate(const DatasetSpec& spec, double scale,
 
   // Exponent ~2.1 matches the heavy-tailed degree distributions typical of
   // the KONECT collection.
-  const BipartiteGraph background =
-      RandomChungLu(nl, nr, target, /*exponent=*/2.1, seed);
-  std::vector<Edge> edges = background.CollectEdges();
+  std::vector<Edge> edges =
+      ChungLuEdges(nl, nr, target, /*exponent=*/2.1, seed);
 
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   const PlantedBiclique planted =

@@ -9,31 +9,6 @@ namespace mbb {
 
 namespace {
 
-// Samples indices with probability proportional to `weights` via the
-// cumulative distribution (binary search per draw).
-class WeightedSampler {
- public:
-  explicit WeightedSampler(const std::vector<double>& weights) {
-    cumulative_.reserve(weights.size());
-    double total = 0.0;
-    for (const double w : weights) {
-      total += w;
-      cumulative_.push_back(total);
-    }
-  }
-
-  std::uint32_t Sample(Rng& rng) const {
-    std::uniform_real_distribution<double> dist(0.0, cumulative_.back());
-    const double x = dist(rng);
-    const auto it =
-        std::lower_bound(cumulative_.begin(), cumulative_.end(), x);
-    return static_cast<std::uint32_t>(it - cumulative_.begin());
-  }
-
- private:
-  std::vector<double> cumulative_;
-};
-
 std::vector<double> PowerLawWeights(std::uint32_t n, double exponent) {
   // Chung–Lu style: rank-based weights w_i = (i+1)^(-1/(exponent-1)).
   const double beta = 1.0 / (exponent - 1.0);
@@ -48,7 +23,53 @@ std::uint64_t EdgeKey(VertexId l, VertexId r) {
   return (static_cast<std::uint64_t>(l) << 32) | r;
 }
 
+// Spreads a whole edge key over the hash slots. The low bits of a plain
+// product depend on the right id alone and cluster when that side is small.
+std::uint64_t MixKey(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace
+
+WeightedSampler::WeightedSampler(const std::vector<double>& weights) {
+  cumulative_.reserve(weights.size());
+  double total = 0.0;
+  for (const double w : weights) {
+    total += w;
+    cumulative_.push_back(total);
+  }
+  assert(total > 0.0);
+  // One bucket per weight. guide_[b] is the first index whose cumulative
+  // weight maps to bucket b or later, so every x in bucket b has its
+  // lower bound in [guide_[b], guide_[b + 1]]: `Bucket` is monotone, which
+  // is all the exactness argument needs.
+  const std::size_t n = cumulative_.size();
+  scale_ = static_cast<double>(n) / total;
+  guide_.assign(n + 1, static_cast<std::uint32_t>(n));
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t b = Bucket(cumulative_[i]);
+    while (next <= b) guide_[next++] = static_cast<std::uint32_t>(i);
+  }
+}
+
+std::uint32_t WeightedSampler::Sample(Rng& rng) const {
+  std::uniform_real_distribution<double> dist(0.0, cumulative_.back());
+  return Index(dist(rng));
+}
+
+std::uint32_t WeightedSampler::Index(double x) const {
+  const std::size_t b = Bucket(x);
+  const auto it = std::lower_bound(cumulative_.begin() + guide_[b],
+                                   cumulative_.begin() + guide_[b + 1], x);
+  return static_cast<std::uint32_t>(it - cumulative_.begin());
+}
+
+std::size_t WeightedSampler::Bucket(double x) const {
+  return std::min(guide_.size() - 2, static_cast<std::size_t>(x * scale_));
+}
 
 BipartiteGraph RandomUniform(std::uint32_t num_left, std::uint32_t num_right,
                              double density, std::uint64_t seed) {
@@ -84,13 +105,11 @@ BipartiteGraph RandomUniform(std::uint32_t num_left, std::uint32_t num_right,
   return BipartiteGraph::FromEdges(num_left, num_right, std::move(edges));
 }
 
-BipartiteGraph RandomChungLu(std::uint32_t num_left, std::uint32_t num_right,
-                             std::uint64_t target_edges, double exponent,
-                             std::uint64_t seed) {
+std::vector<Edge> ChungLuEdges(std::uint32_t num_left, std::uint32_t num_right,
+                               std::uint64_t target_edges, double exponent,
+                               std::uint64_t seed) {
   Rng rng(seed);
-  if (num_left == 0 || num_right == 0 || target_edges == 0) {
-    return BipartiteGraph::FromEdges(num_left, num_right, {});
-  }
+  if (num_left == 0 || num_right == 0 || target_edges == 0) return {};
   const WeightedSampler left_sampler(PowerLawWeights(num_left, exponent));
   const WeightedSampler right_sampler(PowerLawWeights(num_right, exponent));
 
@@ -98,8 +117,13 @@ BipartiteGraph RandomChungLu(std::uint32_t num_left, std::uint32_t num_right,
       static_cast<std::uint64_t>(num_left) * num_right;
   target_edges = std::min(target_edges, possible);
 
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(target_edges * 2);
+  // The accepted edge keys, in one flat open-addressing table (linear
+  // probing) that stays at most half full. No key has every bit set: left
+  // ids are below 2^32 - 1.
+  constexpr std::uint64_t kNoEdge = ~std::uint64_t{0};
+  std::uint64_t slots = 16;
+  while (slots < 2 * target_edges) slots *= 2;
+  std::vector<std::uint64_t> seen(slots, kNoEdge);
   std::vector<Edge> edges;
   edges.reserve(target_edges);
 
@@ -112,11 +136,25 @@ BipartiteGraph RandomChungLu(std::uint32_t num_left, std::uint32_t num_right,
     ++attempts;
     const VertexId l = left_sampler.Sample(rng);
     const VertexId r = right_sampler.Sample(rng);
-    if (seen.insert(EdgeKey(l, r)).second) {
+    const std::uint64_t key = EdgeKey(l, r);
+    std::uint64_t slot = MixKey(key) & (slots - 1);
+    while (seen[slot] != key && seen[slot] != kNoEdge) {
+      slot = (slot + 1) & (slots - 1);
+    }
+    if (seen[slot] == kNoEdge) {
+      seen[slot] = key;
       edges.emplace_back(l, r);
     }
   }
-  return BipartiteGraph::FromEdges(num_left, num_right, std::move(edges));
+  return edges;
+}
+
+BipartiteGraph RandomChungLu(std::uint32_t num_left, std::uint32_t num_right,
+                             std::uint64_t target_edges, double exponent,
+                             std::uint64_t seed) {
+  return BipartiteGraph::FromEdges(
+      num_left, num_right,
+      ChungLuEdges(num_left, num_right, target_edges, exponent, seed));
 }
 
 PlantedBiclique PlantBalancedBiclique(std::uint32_t num_left,
@@ -157,9 +195,8 @@ BipartiteGraph RandomSparseWithPlanted(std::uint32_t num_left,
                                        std::uint64_t target_edges,
                                        std::uint32_t planted_k,
                                        double exponent, std::uint64_t seed) {
-  const BipartiteGraph background =
-      RandomChungLu(num_left, num_right, target_edges, exponent, seed);
-  std::vector<Edge> edges = background.CollectEdges();
+  std::vector<Edge> edges =
+      ChungLuEdges(num_left, num_right, target_edges, exponent, seed);
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   PlantBalancedBiclique(num_left, num_right, planted_k, rng, edges);
   return BipartiteGraph::FromEdges(num_left, num_right, std::move(edges));

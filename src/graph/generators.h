@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -12,6 +13,32 @@ namespace mbb {
 /// Deterministic 64-bit generator used throughout; seeds are part of every
 /// generator signature so experiments are reproducible.
 using Rng = std::mt19937_64;
+
+/// Draws indices with probability proportional to non-negative `weights`
+/// (with a positive sum). A draw takes one `uniform_real_distribution`
+/// value x in [0, total) and returns the first index whose cumulative
+/// weight reaches x — exactly what `std::lower_bound` over all cumulative
+/// weights returns — after a guide table narrows the search to the few
+/// indices of x's bucket.
+class WeightedSampler {
+ public:
+  explicit WeightedSampler(const std::vector<double>& weights);
+
+  std::uint32_t Sample(Rng& rng) const;
+
+  /// The index a draw of `x` yields.
+  std::uint32_t Index(double x) const;
+
+  /// Running sums of the weights, in index order.
+  std::span<const double> cumulative() const { return cumulative_; }
+
+ private:
+  std::size_t Bucket(double x) const;
+
+  std::vector<double> cumulative_;
+  std::vector<std::uint32_t> guide_;  // bucket -> first index; one sentinel
+  double scale_ = 0.0;                // buckets per unit of weight
+};
 
 /// Uniform random bipartite graph: every pair of `[0,num_left) x
 /// [0,num_right)` is an edge independently with probability `density`.
@@ -28,6 +55,13 @@ BipartiteGraph RandomUniform(std::uint32_t num_left, std::uint32_t num_right,
 BipartiteGraph RandomChungLu(std::uint32_t num_left, std::uint32_t num_right,
                              std::uint64_t target_edges, double exponent,
                              std::uint64_t seed);
+
+/// The distinct edges `RandomChungLu` draws, in the order it accepts them.
+/// Generators that add edges to a Chung–Lu background start from this list
+/// and build their graph once.
+std::vector<Edge> ChungLuEdges(std::uint32_t num_left, std::uint32_t num_right,
+                               std::uint64_t target_edges, double exponent,
+                               std::uint64_t seed);
 
 /// Adds a complete `k x k` biclique between `k` randomly chosen vertices of
 /// each side to `edges` (duplicates are fine; graph construction dedups).

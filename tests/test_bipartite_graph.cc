@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +141,112 @@ TEST(BipartiteGraph, PaperExampleDegrees) {
   EXPECT_EQ(g.Degree(Side::kLeft, 5), 3u);   // paper vertex 6: {8,11,12}
   EXPECT_EQ(g.Degree(Side::kRight, 0), 2u);  // paper vertex 7: {1,2}
   EXPECT_EQ(g.Degree(Side::kRight, 2), 3u);  // paper vertex 9: {3,4,5}
+}
+
+
+// ---------------------------------------------------------------------------
+// FromEdges against a reference build: one global sort + unique of the edge
+// list, then both CSR sides filled in (left, right) order.
+// ---------------------------------------------------------------------------
+
+void ExpectMatchesSortUniqueBuild(std::uint32_t nl, std::uint32_t nr,
+                                  const std::vector<Edge>& edges) {
+  std::vector<Edge> sorted = edges;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<std::vector<VertexId>> left(nl), right(nr);
+  for (const auto& [l, r] : sorted) {
+    left[l].push_back(r);
+    right[r].push_back(l);
+  }
+
+  const BipartiteGraph g = BipartiteGraph::FromEdges(nl, nr, edges);
+  ASSERT_EQ(g.num_left(), nl);
+  ASSERT_EQ(g.num_right(), nr);
+  EXPECT_EQ(g.num_edges(), sorted.size());
+  EXPECT_EQ(g.CollectEdges(), sorted);
+  for (VertexId l = 0; l < nl; ++l) {
+    const auto row = g.Neighbors(Side::kLeft, l);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), left[l].begin(),
+                           left[l].end()))
+        << "left " << l;
+  }
+  for (VertexId r = 0; r < nr; ++r) {
+    const auto row = g.Neighbors(Side::kRight, r);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), right[r].begin(),
+                           right[r].end()))
+        << "right " << r;
+  }
+  EXPECT_EQ(g.RawOffsets(Side::kLeft).size(), nl + std::size_t{1});
+  EXPECT_EQ(g.RawOffsets(Side::kRight).size(), nr + std::size_t{1});
+}
+
+TEST(FromEdgesBuild, ShuffledDuplicatesMatchSortUniqueBuild) {
+  std::mt19937_64 rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint32_t nl = std::uniform_int_distribution<std::uint32_t>(
+        1, 40)(rng);
+    const std::uint32_t nr = std::uniform_int_distribution<std::uint32_t>(
+        1, 40)(rng);
+    // Few draws leave most rows empty; many draw every pair several times.
+    const std::size_t count = std::uniform_int_distribution<std::size_t>(
+        0, 3 * std::size_t{nl} * nr)(rng);
+    std::uniform_int_distribution<VertexId> pick_l(0, nl - 1);
+    std::uniform_int_distribution<VertexId> pick_r(0, nr - 1);
+    std::vector<Edge> edges;
+    for (std::size_t i = 0; i < count; ++i) {
+      edges.emplace_back(pick_l(rng), pick_r(rng));
+    }
+    std::shuffle(edges.begin(), edges.end(), rng);
+    ExpectMatchesSortUniqueBuild(nl, nr, edges);
+  }
+}
+
+TEST(FromEdgesBuild, EmptyRowsAndEmptySides) {
+  ExpectMatchesSortUniqueBuild(0, 0, {});
+  ExpectMatchesSortUniqueBuild(0, 7, {});
+  ExpectMatchesSortUniqueBuild(5, 0, {});
+  // Every row but the last is empty, then only the first.
+  ExpectMatchesSortUniqueBuild(6, 3, {{5, 2}, {5, 0}, {5, 2}});
+  ExpectMatchesSortUniqueBuild(6, 3, {{0, 1}, {0, 1}, {0, 0}});
+  // One hub row amid empty ones, every edge repeated.
+  std::vector<Edge> hub;
+  for (VertexId r = 0; r < 50; ++r) {
+    hub.emplace_back(3, 49 - r);
+    hub.emplace_back(3, r);
+  }
+  ExpectMatchesSortUniqueBuild(8, 50, hub);
+}
+
+TEST(FromEdgesBuild, OutOfRangeMessages) {
+  const auto message = [](std::uint32_t nl, std::uint32_t nr,
+                          std::vector<Edge> edges) {
+    BipartiteGraph g = BipartiteGraph::FromEdges(2, 2, {{0, 0}, {1, 1}});
+    const std::uint64_t before = testing::CsrDigest(g);
+    std::string error;
+    EXPECT_FALSE(BipartiteGraph::TryFromEdges(nl, nr, edges, &g, &error));
+    EXPECT_EQ(testing::CsrDigest(g), before) << "out was modified";
+    std::string thrown;
+    try {
+      BipartiteGraph::FromEdges(nl, nr, edges);
+    } catch (const std::invalid_argument& e) {
+      thrown = e.what();
+    }
+    EXPECT_EQ(thrown, error);
+    return error;
+  };
+  EXPECT_EQ(message(4, 6, {{0, 0}, {1, 12}}),
+            "edge 1: right id 12 out of range [0, 6)");
+  EXPECT_EQ(message(4, 6, {{0, 0}, {3, 5}, {4, 0}}),
+            "edge 2: left id 4 out of range [0, 4)");
+  // Both endpoints out of range: the left one is named.
+  EXPECT_EQ(message(4, 6, {{9, 9}}), "edge 0: left id 9 out of range [0, 4)");
+  // The first bad edge is named, not a later one.
+  EXPECT_EQ(message(4, 6, {{0, 6}, {7, 0}}),
+            "edge 0: right id 6 out of range [0, 6)");
+  // A side with no vertices accepts no edge.
+  EXPECT_EQ(message(0, 3, {{0, 0}}), "edge 0: left id 0 out of range [0, 0)");
+  EXPECT_EQ(message(3, 0, {{0, 0}}), "edge 0: right id 0 out of range [0, 0)");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hbv_mbb.h"
+#include "test_util.h"
 
 namespace mbb {
 namespace {
@@ -120,6 +121,34 @@ TEST(Datasets, EdgeTargetMatchesDensity) {
   const double expected =
       spec->density * spec->num_left * spec->num_right;
   EXPECT_NEAR(static_cast<double>(target), expected, expected * 0.01 + 1);
+}
+
+
+TEST(Datasets, SurrogatePinsAreUnchanged) {
+  // Edge counts and CSR digests recorded from the build that still sorted
+  // the whole edge list in `FromEdges` and built each surrogate twice
+  // (background graph, then background plus plant and decoys). The
+  // benchmark's reference optima and the reduction pins assume these exact
+  // graphs.
+  struct Pin {
+    const char* dataset;
+    double scale;
+    std::uint64_t edges;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"reuters", 0.05, 32933, 11066756513128450841ULL},
+      {"discogs-style", 0.05, 14955, 12701610123241496660ULL},
+      {"jester", 0.05, 58352, 11429295797136338252ULL},
+      {"unicodelang", 1.0, 140, 1285726487442111472ULL},
+  };
+  for (const Pin& pin : pins) {
+    const DatasetSpec* spec = FindDataset(pin.dataset);
+    ASSERT_NE(spec, nullptr) << pin.dataset;
+    const BipartiteGraph g = GenerateSurrogate(*spec, pin.scale);
+    EXPECT_EQ(g.num_edges(), pin.edges) << pin.dataset;
+    EXPECT_EQ(testing::CsrDigest(g), pin.digest) << pin.dataset;
+  }
 }
 
 }  // namespace

@@ -34,6 +34,27 @@ inline BipartiteGraph CompleteBipartite(std::uint32_t nl, std::uint32_t nr) {
   return BipartiteGraph::FromEdges(nl, nr, std::move(edges));
 }
 
+/// FNV-1a digest of both CSR sides of `g`: the side sizes, then each
+/// side's offsets and adjacency. Equal digests mean, up to hash collision,
+/// the same graph with the same vertex ids; the generator pins compare
+/// these against values recorded from earlier builds.
+inline std::uint64_t CsrDigest(const BipartiteGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(g.num_left());
+  mix(g.num_right());
+  for (const Side side : {Side::kLeft, Side::kRight}) {
+    for (const std::uint64_t offset : g.RawOffsets(side)) mix(offset);
+    for (const VertexId v : g.RawAdjacency(side)) mix(v);
+  }
+  return h;
+}
+
 /// DenseSubgraph covering the whole graph (identity vertex lists).
 inline DenseSubgraph WholeGraphDense(const BipartiteGraph& g) {
   return DenseSubgraph::Whole(g);
