@@ -5,11 +5,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/dynamic_mbb.h"
+#include "core/size_constrained.h"
 #include "engine/faults.h"
 #include "engine/parallel.h"
 #include "engine/search_context.h"
@@ -86,12 +88,29 @@ class SizeGuard {
   std::size_t size_;
 };
 
+/// The fixed per-side target of the size-constrained (a, b) problem.
+struct SizeTarget {
+  std::uint32_t a;
+  std::uint32_t b;
+};
+
+/// denseMBB's branch and bound, with one of two targets. Balanced mode
+/// (no `target`) maximises the balanced size, recording only bicliques
+/// larger than `initial_best`. Target mode stops at the first biclique
+/// with |A| >= a and |B| >= b and reports it unbalanced; it needs
+/// `use_poly_case` off, since Lemma 3's dynamic program maximises the
+/// balanced size. Both prune with the same per-side thresholds
+/// `need_a_`/`need_b_`, the sizes a new biclique must reach on each side.
 class DenseMbbSearcher {
  public:
   DenseMbbSearcher(const DenseSubgraph& g, const DenseMbbOptions& options,
-                   std::uint32_t initial_best, SearchContext& context)
+                   std::uint32_t initial_best, SearchContext& context,
+                   std::optional<SizeTarget> target = std::nullopt)
       : g_(g),
         options_(options),
+        target_mode_(target.has_value()),
+        need_a_(target_mode_ ? target->a : initial_best + 1),
+        need_b_(target_mode_ ? target->b : initial_best + 1),
         best_size_(initial_best),
         own_best_size_(initial_best),
         ctx_(context) {}
@@ -132,15 +151,19 @@ class DenseMbbSearcher {
     }
     MbbResult out;
     out.best = std::move(best_);
-    out.best.MakeBalanced();
+    if (!target_mode_) out.best.MakeBalanced();
     out.stats = stats_;
     out.exact = !stats_.timed_out;
     return out;
   }
 
+  /// Target mode: whether the search found a biclique meeting the target.
+  bool hit() const { return hit_; }
+
  private:
-  // Returns true when the search must abort (limit fired). The exclusion
-  // branch is a tail loop so stack depth only grows on inclusions. `ca`
+  // Returns true when the search must abort: a limit fired, or target mode
+  // hit its target. The exclusion branch is a tail loop so stack depth
+  // only grows on inclusions. `ca`
   // and `cb` alias this level's pooled frame and are mutated in place;
   // `ca_count`/`cb_count` are their popcounts, threaded through the
   // recursion (the reduction loop maintains them and the fused
@@ -168,13 +191,14 @@ class DenseMbbSearcher {
       // bounding condition and leaf detection. Each pass also collects the
       // degree profile of the candidates it keeps: the branch vertex (the
       // most missing cross neighbours; left before right, ascending id, the
-      // first strict maximum wins) and the per-side counts of candidates
-      // missing any, for the feasibility bound. The pass that changes
-      // nothing leaves ca and cb final, so its profile is the node's.
-      // Without reductions the first pass removes nothing and is that pass.
+      // first kept candidate, then each strictly larger count wins) and
+      // the per-side counts of candidates missing any, for the feasibility
+      // bound. The pass that changes nothing leaves ca and cb final, so its
+      // profile is the node's. Without reductions the first pass removes
+      // nothing and is that pass.
       Side branch_side = Side::kLeft;
       VertexId branch_vertex = 0;
-      std::uint32_t max_missing = 0;
+      int max_missing = -1;
       std::uint32_t nonfull_left = 0;
       std::uint32_t nonfull_right = 0;
       const bool reduce = options_.use_reductions;
@@ -183,23 +207,24 @@ class DenseMbbSearcher {
             static_cast<std::uint32_t>(a_.size()) + ca_count;
         const std::uint32_t potential_b =
             static_cast<std::uint32_t>(b_.size()) + cb_count;
-        if (std::min(potential_a, potential_b) <= best_size_) {
+        if (potential_a < need_a_ || potential_b < need_b_) {
           ++stats_.bound_prunes;
           // Attribute the cut when only a concurrently raised bound (not
           // this searcher's own incumbent) made it fire.
-          if (std::min(potential_a, potential_b) > own_best_size_) {
+          if (options_.shared_bound != nullptr &&
+              std::min(potential_a, potential_b) > own_best_size_) {
             ++stats_.shared_bound_prunes;
           }
           return false;
         }
-        if (ca_count == 0 || cb_count == 0) {
-          RecordLeaf(ca, cb);
-          return false;
+        // Target mode: the fixed sides alone meet the target.
+        if (target_mode_ && a_.size() >= need_a_ && b_.size() >= need_b_) {
+          return RecordLeaf({}, {});
         }
+        if (ca_count == 0 || cb_count == 0) return RecordLeaf(ca, cb);
 
         branch_side = Side::kLeft;
-        branch_vertex = 0;
-        max_missing = 0;
+        max_missing = -1;  // the first kept candidate always wins
         nonfull_left = 0;
         nonfull_right = 0;
         bool changed = false;
@@ -219,8 +244,7 @@ class DenseMbbSearcher {
             ++stats_.reduction_promoted;
             changed = true;
           } else if (reduce &&
-                     static_cast<std::uint32_t>(b_.size()) + du <=
-                         best_size_) {
+                     static_cast<std::uint32_t>(b_.size()) + du < need_b_) {
             ca.Reset(static_cast<std::size_t>(u));
             --ca_count;
             ++stats_.reduction_removed;
@@ -228,8 +252,8 @@ class DenseMbbSearcher {
           } else {
             const std::uint32_t missing = cb_count - du;
             nonfull_left += missing > 0 ? 1 : 0;
-            if (missing > max_missing) {
-              max_missing = missing;
+            if (static_cast<int>(missing) > max_missing) {
+              max_missing = static_cast<int>(missing);
               branch_vertex = static_cast<VertexId>(u);
             }
           }
@@ -248,8 +272,7 @@ class DenseMbbSearcher {
             ++stats_.reduction_promoted;
             changed = true;
           } else if (reduce &&
-                     static_cast<std::uint32_t>(a_.size()) + dv <=
-                         best_size_) {
+                     static_cast<std::uint32_t>(a_.size()) + dv < need_a_) {
             cb.Reset(static_cast<std::size_t>(v));
             --cb_count;
             ++stats_.reduction_removed;
@@ -257,8 +280,8 @@ class DenseMbbSearcher {
           } else {
             const std::uint32_t missing = ca_count - dv;
             nonfull_right += missing > 0 ? 1 : 0;
-            if (missing > max_missing) {
-              max_missing = missing;
+            if (static_cast<int>(missing) > max_missing) {
+              max_missing = static_cast<int>(missing);
               branch_side = Side::kRight;
               branch_vertex = static_cast<VertexId>(v);
             }
@@ -266,6 +289,14 @@ class DenseMbbSearcher {
           v = next;
         }
         if (!changed) break;
+      }
+
+      // Target mode: once one fixed side meets its target, the other
+      // side's candidates complete the hit (all are adjacent to it, and the
+      // last pass's bound check showed they are enough).
+      if (target_mode_) {
+        if (a_.size() >= need_a_) return RecordLeaf({}, cb);
+        if (b_.size() >= need_b_) return RecordLeaf(ca, {});
       }
 
       // Matching (König) bound — one of the paper's unstated "obvious
@@ -277,15 +308,16 @@ class DenseMbbSearcher {
       // compute and the bound sharp; it is exactly what turns the
       // near-polynomial behaviour of Table 4 into practice.
       //
-      // The bound can only fire when ν reaches `needed`; ν is capped by
-      // the number of non-fully-connected vertices per side, so the whole
-      // computation is skipped when unreachable and aborted early once
-      // `needed` is matched.
+      // The bound can only fire when ν reaches `needed` (in balanced mode
+      // numerator - 2·best); ν is capped by the number of
+      // non-fully-connected vertices per side, so the whole computation is
+      // skipped when unreachable and aborted early once `needed` is
+      // matched.
       if (options_.use_matching_bound) {
         const std::uint32_t numerator = static_cast<std::uint32_t>(
             a_.size() + b_.size()) + ca_count + cb_count;
-        const std::uint32_t needed = numerator > 2 * best_size_
-                                         ? numerator - 2 * best_size_
+        const std::uint32_t needed = numerator + 2 > need_a_ + need_b_
+                                         ? numerator + 2 - need_a_ - need_b_
                                          : 0;
         if (needed > 0 &&
             needed <= std::min(nonfull_left, nonfull_right)) {
@@ -306,7 +338,7 @@ class DenseMbbSearcher {
             g_, a_, b_, ca, cb, best_size_, &polynomial);
         if (outcome.improved) {
           best_ = outcome.best;
-          best_size_ = best_.BalancedSize();
+          RaiseBest(best_.BalancedSize());
           own_best_size_ = best_size_;
           PublishSharedBound();
         }
@@ -416,10 +448,12 @@ class DenseMbbSearcher {
     }
   }
 
-  /// One candidate side is empty: by the search invariant every remaining
-  /// candidate on the other side is adjacent to all fixed vertices, so the
-  /// whole candidate set can be absorbed at once.
-  void RecordLeaf(BitSpan ca, BitSpan cb) {
+  /// Records (A ∪ ca, B ∪ cb) where one of `ca`, `cb` is empty: by the
+  /// search invariant every candidate is adjacent to all fixed vertices
+  /// across, so the other candidate set is absorbed at once. Returns true
+  /// when the search is over: every call in target mode is a hit (the
+  /// bound check passed), and target mode stops at its first.
+  bool RecordLeaf(BitSpan ca, BitSpan cb) {
     ++stats_.leaves;
     Biclique candidate;
     candidate.left = a_;
@@ -430,12 +464,18 @@ class DenseMbbSearcher {
     cb.ForEach([&candidate](std::size_t v) {
       candidate.right.push_back(static_cast<VertexId>(v));
     });
+    if (target_mode_) {
+      hit_ = true;
+      best_ = std::move(candidate);
+      return true;
+    }
     if (candidate.BalancedSize() > best_size_) {
-      best_size_ = candidate.BalancedSize();
+      RaiseBest(candidate.BalancedSize());
       own_best_size_ = best_size_;
       best_ = std::move(candidate);
       PublishSharedBound();
     }
+    return false;
   }
 
   /// Forks one child of a branch node as a stealable task: the inclusion
@@ -510,7 +550,15 @@ class DenseMbbSearcher {
   void SyncSharedBound() {
     if (options_.shared_bound == nullptr) return;
     const std::uint32_t shared = options_.shared_bound->Load();
-    if (shared > best_size_) best_size_ = shared;
+    if (shared > best_size_) RaiseBest(shared);
+  }
+
+  /// Balanced mode: a new incumbent size, found or adopted; a later
+  /// biclique must beat it on both sides.
+  void RaiseBest(std::uint32_t size) {
+    best_size_ = size;
+    need_a_ = size + 1;
+    need_b_ = size + 1;
   }
 
   void PublishSharedBound() {
@@ -577,6 +625,10 @@ class DenseMbbSearcher {
 
   const DenseSubgraph& g_;
   const DenseMbbOptions& options_;
+  const bool target_mode_;
+  std::uint32_t need_a_;
+  std::uint32_t need_b_;
+  /// Balanced mode's incumbent size (need_a_ = need_b_ = best_size_ + 1).
   std::uint32_t best_size_;
   /// Best size this searcher found itself (excluding adopted shared
   /// bounds); the gap to `best_size_` is what `shared_bound_prunes`
@@ -586,6 +638,7 @@ class DenseMbbSearcher {
   std::vector<VertexId> a_;
   std::vector<VertexId> b_;
   Biclique best_;
+  bool hit_ = false;
   SearchStats stats_;
 
   /// A branch node whose exclusion child is running and whose inclusion
@@ -815,19 +868,27 @@ MbbResult SolveFromRoot(const DenseSubgraph& g, const DenseMbbOptions& options,
   return driver.Solve(std::move(task));
 }
 
-}  // namespace
-
-MbbResult DenseMbbSolve(const DenseSubgraph& g, const DenseMbbOptions& options,
-                        std::uint32_t initial_best, SearchContext* context) {
-  SearchContext transient;
-  SearchContext& ctx = context != nullptr ? *context : transient;
+/// Readies `ctx`'s frame pool for `g` and returns the root frame with
+/// every vertex a candidate.
+SearchContext::BranchFrame& WholeRoot(const DenseSubgraph& g,
+                                      SearchContext& ctx) {
   ctx.PrepareFrames(std::max(g.num_left(), g.num_right()));
   SearchContext::BranchFrame& root = ctx.Frame(0);
   root.ca.Resize(g.num_left());
   root.ca.SetAll();
   root.cb.Resize(g.num_right());
   root.cb.SetAll();
-  return SolveFromRoot(g, options, initial_best, {}, {}, root, ctx);
+  return root;
+}
+
+}  // namespace
+
+MbbResult DenseMbbSolve(const DenseSubgraph& g, const DenseMbbOptions& options,
+                        std::uint32_t initial_best, SearchContext* context) {
+  SearchContext transient;
+  SearchContext& ctx = context != nullptr ? *context : transient;
+  return SolveFromRoot(g, options, initial_best, {}, {}, WholeRoot(g, ctx),
+                       ctx);
 }
 
 MbbResult DenseMbbSolveAnchored(const DenseSubgraph& g, VertexId anchor,
@@ -836,16 +897,31 @@ MbbResult DenseMbbSolveAnchored(const DenseSubgraph& g, VertexId anchor,
                                 SearchContext* context) {
   SearchContext transient;
   SearchContext& ctx = context != nullptr ? *context : transient;
-  ctx.PrepareFrames(std::max(g.num_left(), g.num_right()));
-  SearchContext::BranchFrame& root = ctx.Frame(0);
-  root.ca.Resize(g.num_left());
-  root.ca.SetAll();
+  SearchContext::BranchFrame& root = WholeRoot(g, ctx);
   root.ca.Reset(anchor);
   // B-side candidates are restricted to the anchor's neighbours so the
   // biclique invariant (every candidate adjacent to all fixed vertices)
   // holds from the start.
   root.cb.CopyFrom(g.LeftRow(anchor));
   return SolveFromRoot(g, options, initial_best, {anchor}, {}, root, ctx);
+}
+
+std::optional<Biclique> FindSizeConstrainedBiclique(
+    const DenseSubgraph& g, std::uint32_t a, std::uint32_t b,
+    const SearchLimits& limits, SearchStats* stats, SearchContext* context) {
+  DenseMbbOptions options;
+  options.limits = limits;
+  options.use_poly_case = false;  // Lemma 3 maximises the balanced size
+  SearchContext transient;
+  SearchContext& ctx = context != nullptr ? *context : transient;
+  SearchContext::BranchFrame& root = WholeRoot(g, ctx);
+  DenseMbbSearcher searcher(g, options, /*initial_best=*/0, ctx,
+                            SizeTarget{a, b});
+  MbbResult result = searcher.RunFrom({}, {}, root, g.num_left(),
+                                      g.num_right(), /*depth=*/0);
+  if (stats != nullptr) *stats = result.stats;
+  if (!searcher.hit()) return std::nullopt;
+  return std::move(result.best);
 }
 
 }  // namespace mbb

@@ -18,15 +18,18 @@ class SearchContext;
 /// applications with asymmetric requirements (e.g. "at least 3 test
 /// conditions covering at least 50 genes").
 ///
-/// Solved by an adapted denseMBB-style branch and bound with the pair
-/// target (prunes on per-side potentials and the candidates' degree
-/// requirements). Returns std::nullopt when no such biclique exists (or
-/// a limit fired — `*stop_cause` then names the first one, else kNone).
-/// The candidate sets live in `context`'s pooled frames (a transient
-/// context when null).
+/// Solved by denseMBB's branch and bound (dense_mbb.cc) in target mode:
+/// the same one-pass node with the Lemma 1/2 reductions and the König
+/// bound, pruning against the per-side target instead of an incumbent,
+/// and stopping at the first hit. It skips the Lemma-3 polynomial case,
+/// whose dynamic program maximises the balanced size. It runs on the
+/// calling thread. Returns std::nullopt when no such biclique exists or a
+/// limit fired first; `*stats`, when given, receives the search counters,
+/// the first fired limit in `stop_cause`. The candidate sets live in
+/// `context`'s pooled frames (a transient context when null).
 std::optional<Biclique> FindSizeConstrainedBiclique(
     const DenseSubgraph& g, std::uint32_t a, std::uint32_t b,
-    const SearchLimits& limits = {}, StopCause* stop_cause = nullptr,
+    const SearchLimits& limits = {}, SearchStats* stats = nullptr,
     SearchContext* context = nullptr);
 
 /// The maximal (a, b) instances (Pareto frontier) of a whole subgraph —

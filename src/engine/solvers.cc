@@ -183,9 +183,8 @@ class SizeConstrainedSolver final : public NamedSolver<true> {
     MbbResult result;
     const std::optional<Biclique> witness = FindSizeConstrainedBiclique(
         DenseSubgraph::Whole(g), options.size_a, options.size_b,
-        options.Limits(), &result.stats.stop_cause, options.context);
+        options.Limits(), &result.stats, options.context);
     if (witness.has_value()) result.best = *witness;
-    result.stats.timed_out = result.stats.stop_cause != StopCause::kNone;
     result.exact = !result.stats.timed_out;
     return result;
   }

@@ -99,6 +99,26 @@ std::uint64_t SurrogateEdgeTarget(const DatasetSpec& spec, double scale) {
 
 namespace {
 
+/// Draws up to `count` distinct vertices of [0, n) outside `forbidden`,
+/// uniformly with rejection; gives up after a bounded number of draws, so
+/// a crowded side can return fewer.
+std::vector<VertexId> SamplePatch(Rng& rng, std::uint32_t n,
+                                  std::uint32_t count,
+                                  const std::vector<bool>& forbidden) {
+  std::vector<VertexId> out;
+  out.reserve(count);
+  std::uniform_int_distribution<std::uint32_t> dist(0, n - 1);
+  std::vector<bool> taken(n, false);
+  std::uint32_t guard = 0;
+  while (out.size() < count && ++guard < 20 * count + 1000) {
+    const VertexId v = dist(rng);
+    if (taken[v] || forbidden[v]) continue;
+    taken[v] = true;
+    out.push_back(v);
+  }
+  return out;
+}
+
 /// Adds a "decoy community" to `edges`: a crown — a complete (k+2) x (k+2)
 /// biclique minus a perfect matching — on fresh vertices. Its minimum
 /// degree is k+1, so it survives Lemma 4's (k+1)-core reduction and keeps
@@ -116,26 +136,10 @@ void AddCrownDecoy(std::uint32_t num_left, std::uint32_t num_right,
                    std::vector<Edge>& edges) {
   if (m > num_left / 3 || m > num_right / 3) return;
 
-  const auto sample_patch = [&rng](std::uint32_t n, std::uint32_t count,
-                                   const std::vector<bool>& forbidden) {
-    std::vector<VertexId> out;
-    out.reserve(count);
-    std::uniform_int_distribution<std::uint32_t> dist(0, n - 1);
-    std::vector<bool> taken(n, false);
-    std::uint32_t guard = 0;
-    while (out.size() < count && ++guard < 20 * count + 1000) {
-      const VertexId v = dist(rng);
-      if (taken[v] || forbidden[v]) continue;
-      taken[v] = true;
-      out.push_back(v);
-    }
-    return out;
-  };
-
   const std::vector<VertexId> left =
-      sample_patch(num_left, m, forbidden_left);
+      SamplePatch(rng, num_left, m, forbidden_left);
   const std::vector<VertexId> right =
-      sample_patch(num_right, m, forbidden_right);
+      SamplePatch(rng, num_right, m, forbidden_right);
   if (left.size() < m || right.size() < m) return;
 
   for (std::uint32_t i = 0; i < m; ++i) {
@@ -170,26 +174,10 @@ void AddRoughDecoy(std::uint32_t num_left, std::uint32_t num_right,
                    std::vector<Edge>& edges) {
   if (m < 6 || m > num_left / 3 || m > num_right / 3) return;
 
-  const auto sample_patch = [&rng](std::uint32_t n, std::uint32_t count,
-                                   const std::vector<bool>& forbidden) {
-    std::vector<VertexId> out;
-    out.reserve(count);
-    std::uniform_int_distribution<std::uint32_t> dist(0, n - 1);
-    std::vector<bool> taken(n, false);
-    std::uint32_t guard = 0;
-    while (out.size() < count && ++guard < 20 * count + 1000) {
-      const VertexId v = dist(rng);
-      if (taken[v] || forbidden[v]) continue;
-      taken[v] = true;
-      out.push_back(v);
-    }
-    return out;
-  };
-
   const std::vector<VertexId> left =
-      sample_patch(num_left, m, forbidden_left);
+      SamplePatch(rng, num_left, m, forbidden_left);
   const std::vector<VertexId> right =
-      sample_patch(num_right, m, forbidden_right);
+      SamplePatch(rng, num_right, m, forbidden_right);
   if (left.size() < m || right.size() < m) return;
 
   for (std::uint32_t i = 0; i < m; ++i) {

@@ -124,6 +124,9 @@ TEST_P(DenseMbbAblationTest, ExactUnderAllSwitches) {
       {true, true, false, true},
       {true, true, true, false},
       {false, false, false, false},
+      // Missing-count branching with nothing else: every kept candidate can
+      // miss nothing, and the first of them must still be the branch.
+      {false, false, true, true},
   };
   const AblationCase& c = cases[config];
   DenseMbbOptions options;
@@ -144,7 +147,7 @@ TEST_P(DenseMbbAblationTest, ExactUnderAllSwitches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, DenseMbbAblationTest,
-    ::testing::Combine(::testing::Range(0, 6),
+    ::testing::Combine(::testing::Range(0, 7),
                        ::testing::Range<std::uint64_t>(0, 8)));
 
 /// The main exactness sweep, including the paper's dense densities.

@@ -342,6 +342,27 @@ TEST(VariantSolvers, SizeconBalancedDiagonalMatchesBrute) {
   }
 }
 
+TEST(VariantSolvers, SizeconReportsItsSearchStats) {
+  // sizecon's counters reach the engine result like every exact key's,
+  // and a fired limit carries its cause there.
+  const BipartiteGraph g = testing::RandomGraph(40, 40, 0.8, 3);
+  SolverOptions options;
+  options.size_a = SolverRegistry::Solve("dense", g).best.BalancedSize() + 1;
+  options.size_b = options.size_a;
+  const MbbResult full = SolverRegistry::Solve("sizecon", g, options);
+  EXPECT_TRUE(full.best.Empty());
+  EXPECT_TRUE(full.exact);
+  EXPECT_GT(full.stats.recursions, 1u);
+  EXPECT_GT(full.stats.matching_prunes, 0u);
+  EXPECT_EQ(full.stats.stop_cause, StopCause::kNone);
+
+  options.max_recursions = full.stats.recursions - 1;
+  const MbbResult capped = SolverRegistry::Solve("sizecon", g, options);
+  EXPECT_FALSE(capped.exact);
+  EXPECT_TRUE(capped.stats.timed_out);
+  EXPECT_EQ(capped.stats.stop_cause, StopCause::kRecursionCap);
+}
+
 TEST(VariantSolvers, TopKFirstEntryMatchesBruteAndPoolIsDisjoint) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const BipartiteGraph g = testing::RandomGraph(10, 10, 0.5, seed);

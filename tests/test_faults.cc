@@ -529,8 +529,12 @@ TEST_F(FaultsTest, WatchdogAbandonsAStalledWorkerAndPoolRecovers) {
   options.fault_spec = "serve.worker_stall:nth=1,ms=400";
   Server server(options);
 
+  // The deadline must outlast the worker's pickup, even on a loaded host:
+  // a job picked up after its deadline is kept off the deadline backstop,
+  // so nothing trips and the worker answers late with the greedy. 100ms
+  // still lapses long before the 400ms stall ends (trip at ~140ms).
   Request stuck = SolveRequest("stuck", testing::RandomGraph(10, 10, 0.5, 7));
-  stuck.deadline_ms = 10;
+  stuck.deadline_ms = 100;
   const Response abandoned = server.SubmitAndWait(stuck);
   EXPECT_FALSE(abandoned.ok);
   EXPECT_EQ(abandoned.stop_cause, "watchdog");

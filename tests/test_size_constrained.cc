@@ -77,10 +77,11 @@ TEST(SizeConstrained, TimeoutInjection) {
   const DenseSubgraph s = testing::WholeGraphDense(g);
   SearchLimits limits;
   limits.max_recursions = 2;
-  StopCause cause = StopCause::kNone;
-  const auto result = FindSizeConstrainedBiclique(s, 6, 6, limits, &cause);
-  if (cause != StopCause::kNone) {
-    EXPECT_EQ(cause, StopCause::kRecursionCap);
+  SearchStats stats;
+  const auto result = FindSizeConstrainedBiclique(s, 6, 6, limits, &stats);
+  if (stats.stop_cause != StopCause::kNone) {
+    EXPECT_EQ(stats.stop_cause, StopCause::kRecursionCap);
+    EXPECT_TRUE(stats.timed_out);
     EXPECT_FALSE(result.has_value());
   }
 }
@@ -110,11 +111,43 @@ TEST_P(SizeConstrainedRandomTest, FeasibilityMatchesNaive) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SizeConstrainedRandomTest,
                          ::testing::Range<std::uint64_t>(0, 12));
 
+/// Dense inputs with targets around the optimum, balanced and asymmetric:
+/// the regime where the König bound cuts, so the oracle checks its cuts
+/// too. Near-complete graphs are settled by the reductions alone, so the
+/// bound is required to fire somewhere in the sweep, not on every graph.
+TEST(SizeConstrainedDenseOracle, TargetsNearTheOptimumMatchNaive) {
+  std::uint64_t matching_prunes = 0;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const std::uint32_t nl = 10 + static_cast<std::uint32_t>(seed % 3);
+    const std::uint32_t nr = 10 + static_cast<std::uint32_t>(seed * 2 % 3);
+    const double density = 0.7 + 0.05 * static_cast<double>(seed % 6);
+    const BipartiteGraph g = testing::RandomGraph(nl, nr, density, seed + 90);
+    const DenseSubgraph s = testing::WholeGraphDense(g);
+    const std::uint32_t opt = BruteForceMbbSize(g);
+    for (std::uint32_t a = opt > 3 ? opt - 3 : 0; a <= opt + 3; ++a) {
+      for (std::uint32_t b = opt > 3 ? opt - 3 : 0; b <= opt + 3; ++b) {
+        SearchStats stats;
+        const auto witness = FindSizeConstrainedBiclique(s, a, b, {}, &stats);
+        matching_prunes += stats.matching_prunes;
+        EXPECT_EQ(witness.has_value(), NaiveFeasible(g, a, b))
+            << "target (" << a << "," << b << ") seed " << seed;
+        if (witness.has_value()) {
+          EXPECT_GE(witness->left.size(), a);
+          EXPECT_GE(witness->right.size(), b);
+          EXPECT_TRUE(witness->IsBicliqueIn(g));
+        }
+      }
+    }
+  }
+  EXPECT_GT(matching_prunes, 0u);
+}
+
 /// Search pins: the witness each fixed (a, b) query returns and the number
-/// of recursions it takes, read off the recursion cap (the search stops at
-/// a cap one below the count and completes at the count). Any change to
-/// the branch rule, its tie order included, or to the reductions moves
-/// them.
+/// of recursions it takes, which the recursion cap confirms (the search
+/// stops at a cap one below the count and completes at the count). Any
+/// change to the branch rule, its tie order included, to the reductions or
+/// to the bounds moves them. A sound new bound may only lower the counts:
+/// it cuts subtrees without a hit, so the first hit stays the same.
 struct PinnedQuery {
   std::uint32_t num_left;
   std::uint32_t num_right;
@@ -129,24 +162,37 @@ struct PinnedQuery {
 
 TEST(SizeConstrainedPins, WitnessesAndRecursionsAreUnchanged) {
   const PinnedQuery queries[] = {
-    {40, 40, 0.5, 1, 7, 7, 257,
+    {40, 40, 0.5, 1, 7, 7, 243,
      {0, 4, 12, 27, 33, 37, 39},
      {1, 10, 18, 27, 33, 37, 39}},
     {40, 40, 0.5, 1, 10, 4, 37,
      {0, 4, 9, 10, 14, 17, 21, 24, 29, 37, 39},
      {10, 18, 25, 34}},
-    {40, 40, 0.5, 1, 8, 8, 231, {}, {}},
-    {48, 44, 0.7, 2, 12, 8, 687,
+    {40, 40, 0.5, 1, 8, 8, 219, {}, {}},
+    {48, 44, 0.7, 2, 12, 8, 597,
      {0, 2, 5, 6, 9, 18, 19, 24, 41, 43, 44, 46},
      {6, 13, 14, 17, 29, 30, 33, 36}},
-    {48, 44, 0.7, 2, 11, 11, 32485, {}, {}},
-    {56, 60, 0.85, 10, 19, 19, 44346,
+    {48, 44, 0.7, 2, 11, 11, 12393, {}, {}},
+    {56, 60, 0.85, 10, 19, 19, 2440,
      {3, 4, 6, 9, 11, 15, 16, 21, 22, 28, 29, 32, 36, 40, 41, 44, 46, 48, 49},
      {6, 7, 8, 10, 12, 15, 23, 31, 34, 39, 41, 42, 43, 45, 46, 48, 50, 55, 59}},
-    {56, 60, 0.85, 10, 25, 12, 7679,
+    {56, 60, 0.85, 10, 25, 12, 523,
      {3, 4, 6, 9, 10, 11, 15, 16, 18, 19, 21, 22, 28, 29, 32, 36, 38, 40, 41,
       44, 46, 48, 49, 50, 52},
      {7, 8, 10, 23, 31, 34, 39, 42, 45, 48, 55, 59}},
+    // At the optimum (28) of a dense graph: the König bound answers these
+    // in tens of milliseconds.
+    {64, 64, 0.92, 8, 27, 27, 35226,
+     {0, 4, 7, 8, 9, 12, 13, 14, 16, 17, 19, 21, 23, 27, 28, 29, 30, 37, 38,
+      39, 40, 43, 44, 54, 55, 56, 62},
+     {0, 5, 7, 8, 10, 15, 20, 26, 28, 29, 30, 31, 32, 34, 36, 38, 41, 46, 47,
+      49, 50, 53, 54, 55, 60, 61, 63}},
+    {64, 64, 0.92, 8, 28, 28, 15013,
+     {0, 6, 7, 9, 10, 12, 13, 16, 17, 19, 21, 23, 24, 28, 29, 30, 32, 35, 36,
+      39, 40, 44, 45, 49, 53, 54, 56, 62},
+     {0, 2, 4, 5, 7, 9, 10, 15, 16, 18, 23, 26, 27, 31, 32, 35, 40, 41, 43,
+      46, 49, 50, 53, 54, 57, 60, 61, 63}},
+    {64, 64, 0.92, 8, 29, 29, 13323, {}, {}},
   };
   for (const PinnedQuery& pin : queries) {
     const BipartiteGraph g = testing::RandomGraph(
@@ -167,13 +213,14 @@ TEST(SizeConstrainedPins, WitnessesAndRecursionsAreUnchanged) {
       EXPECT_EQ(right, pin.right);
     }
     SearchLimits limits;
-    StopCause cause = StopCause::kNone;
+    SearchStats stats;
     limits.max_recursions = pin.recursions;
-    FindSizeConstrainedBiclique(s, pin.a, pin.b, limits, &cause);
-    EXPECT_EQ(cause, StopCause::kNone);
+    FindSizeConstrainedBiclique(s, pin.a, pin.b, limits, &stats);
+    EXPECT_EQ(stats.stop_cause, StopCause::kNone);
+    EXPECT_EQ(stats.recursions, pin.recursions);
     limits.max_recursions = pin.recursions - 1;
-    FindSizeConstrainedBiclique(s, pin.a, pin.b, limits, &cause);
-    EXPECT_EQ(cause, StopCause::kRecursionCap);
+    FindSizeConstrainedBiclique(s, pin.a, pin.b, limits, &stats);
+    EXPECT_EQ(stats.stop_cause, StopCause::kRecursionCap);
   }
 }
 
