@@ -114,8 +114,6 @@ MBB_KERNEL_BENCH(CountAnd, BM_Count2Shape, bitops::scalar::CountAnd,
 MBB_KERNEL_BENCH(AndCountInto, BM_CountIntoShape,
                  bitops::scalar::AndCountInto, bitops::AndCountInto)
 MBB_KERNEL_BENCH(Count, BM_CountShape, bitops::scalar::Count, bitops::Count)
-MBB_KERNEL_BENCH(CountAndNot, BM_Count2Shape, bitops::scalar::CountAndNot,
-                 bitops::CountAndNot)
 MBB_KERNEL_BENCH(AndInto, BM_IntoShape, bitops::scalar::AndInto,
                  bitops::AndInto)
 
@@ -129,8 +127,6 @@ BENCHMARK(BM_KernelAndCountIntoScalar)
 BENCHMARK(BM_KernelAndCountInto)->Arg(256)->Arg(512)->Arg(2048)->Arg(16384);
 BENCHMARK(BM_KernelCountScalar)->Arg(256)->Arg(2048)->Arg(16384);
 BENCHMARK(BM_KernelCount)->Arg(256)->Arg(2048)->Arg(16384);
-BENCHMARK(BM_KernelCountAndNotScalar)->Arg(256)->Arg(2048);
-BENCHMARK(BM_KernelCountAndNot)->Arg(256)->Arg(2048);
 BENCHMARK(BM_KernelAndIntoScalar)->Arg(256)->Arg(2048);
 BENCHMARK(BM_KernelAndInto)->Arg(256)->Arg(2048);
 

@@ -18,9 +18,10 @@ namespace mbb {
 ///
 /// Exact; result in `g`'s ids. The per-scope searches fan out across
 /// `num_threads` workers (0 = one per hardware thread): each scope
-/// snapshots a shared atomic incumbent when claimed, and the first search
-/// a limit interrupts stops the whole fleet, whose best biclique so far is
-/// still returned. The returned size matches the one-thread run; between
+/// snapshots a shared atomic incumbent when claimed, the stop token and
+/// deadline are checked before each scope, and the first search a limit
+/// interrupts stops the whole fleet, whose best biclique so far is still
+/// returned. The returned size matches the one-thread run; between
 /// equally-sized optima the witness may differ with interleaving, unless
 /// `deterministic` (`ExecPolicy::deterministic`) freezes every scope's
 /// snapshot at `initial_best`: the witness and counters are then the same

@@ -173,8 +173,9 @@ struct SearchLimits {
 /// the derived structs.
 struct ExecPolicy {
   /// Deadline, recursion cap and stop token. Branch-and-bound searches
-  /// poll them every `kDeadlinePollInterval` recursions; step 2 of the
-  /// sparse framework checks the token and deadline before each centre.
+  /// poll them every `kDeadlinePollInterval` recursions; the incumbent
+  /// scans (`IncumbentScan`, engine/parallel.h) check the token and
+  /// deadline before each item.
   SearchLimits limits;
   /// Worker threads: 1 = sequential on the caller's thread, 0 = one per
   /// hardware thread. They run denseMBB's work-stealing subtree layer,
@@ -191,12 +192,13 @@ struct ExecPolicy {
   /// without a subtree layer ignore it.
   std::uint32_t spawn_depth = 0;
   /// Thread-count-invariant results. Forked subtrees prune against their
-  /// spawner's incumbent snapshot, and the parallel scans against the
-  /// incoming bound, instead of the live shared bound; every reduce picks
-  /// the winner that comes first in sequential order. The returned
-  /// biclique — and step 2's counters — are then identical at every
-  /// thread count, at the cost of fewer cross-worker prunes. Without it
-  /// only the best size is invariant.
+  /// spawner's incumbent snapshot instead of the live shared bound, and
+  /// every reduce picks the winner that comes first in sequential order;
+  /// the incumbent scans of step 2, step 3 and FMBE apply this rule once,
+  /// in `IncumbentScan` (engine/parallel.h). The returned biclique — and
+  /// the scans' counters — are then identical at every thread count, at
+  /// the cost of fewer cross-worker prunes. Without it only the best size
+  /// is invariant.
   bool deterministic = false;
 };
 

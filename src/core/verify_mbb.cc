@@ -14,34 +14,30 @@ namespace mbb {
 
 namespace {
 
-/// Improvement one survivor's anchored search found, in the reduced
-/// graph's ids; `best_size == 0` means none. Each survivor is handled by
-/// exactly one worker, so these can be reduced after the join without
-/// synchronization.
-struct SurvivorResult {
-  Biclique best;
-  std::uint32_t best_size = 0;
+struct SurvivorWorker {
+  CsrScratch scratch;
 };
 
+using SurvivorScan = IncumbentScan<SurvivorWorker>;
+
 /// Lines 2-5 of Algorithm 8 for one survivor: stale pruning, core
-/// reduction, and the anchored exhaustive search, all against the
-/// `best_size` snapshot. `dense_options` arrives with limits (and, with
-/// several workers, the shared bound) already installed; `stats` is the
-/// calling worker's shard, and the search's outcome is reported to `fleet`.
-SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
-                               const CenteredSubgraph& s,
-                               const VerifyOptions& options,
-                               const DenseMbbOptions& dense_options,
-                               std::uint32_t best_size, SearchContext& ctx,
-                               CsrScratch& scratch, SearchStats& stats,
-                               FleetStop& fleet) {
-  SurvivorResult out;
+/// reduction, and the anchored exhaustive search, all against the item's
+/// bound. `dense_options` arrives with the scan's limits (and, when
+/// shared, its live bound) installed. Returns the improvement found, in
+/// the reduced graph's ids, or an empty biclique.
+Biclique ProcessSurvivor(const BipartiteGraph& reduced,
+                         const CenteredSubgraph& s,
+                         const VerifyOptions& options,
+                         const DenseMbbOptions& dense_options,
+                         SurvivorScan::Item& item) {
+  const std::uint32_t best_size = item.bound;
+  SearchStats& stats = item.stats;
 
   // Stale pruning: the incumbent may have grown since step 2, through
   // earlier survivors' searches.
   if (std::min(s.same_side.size(), s.other_side.size()) <= best_size) {
     ++stats.subgraphs_pruned_size;
-    return out;
+    return {};
   }
 
   // The subgraph is canonicalized so the centre is left-local 0: "left"
@@ -58,12 +54,13 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
     if (s.center_side == Side::kRight) std::swap(left_list, right_list);
     // Peel H in place on the CSR scratch. An empty core is exactly the
     // δ(H) <= best_size degeneracy prune.
+    CsrScratch& scratch = item.state.scratch;
     scratch.LoadSubgraph(reduced, *left_list, *right_list);
     scratch.PeelToCore(best_size + 1);
     if (scratch.NumAlive(Side::kLeft) == 0 ||
         scratch.NumAlive(Side::kRight) == 0) {
       ++stats.subgraphs_pruned_degeneracy;
-      return out;
+      return {};
     }
     std::vector<VertexId> kept_left = scratch.LiveOldIds(Side::kLeft);
     std::vector<VertexId> kept_right = scratch.LiveOldIds(Side::kRight);
@@ -75,7 +72,7 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
     if (std::find(kept_left.begin(), kept_left.end(), s.same_side[0]) ==
         kept_left.end()) {
       ++stats.subgraphs_pruned_size;
-      return out;
+      return {};
     }
     // Keep the centre in front for the anchored search.
     std::erase(kept_left, s.same_side[0]);
@@ -85,7 +82,7 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
     if (std::min(center_side_vertices.size(), other_side_vertices.size()) <=
         best_size) {
       ++stats.subgraphs_pruned_size;
-      return out;
+      return {};
     }
   }
 
@@ -99,28 +96,22 @@ SurvivorResult ProcessSurvivor(const BipartiteGraph& reduced,
   MbbResult result;
   if (options.use_dense_search) {
     result = DenseMbbSolveAnchored(dense, /*anchor=*/0, dense_options,
-                                   best_size, &ctx);
+                                   best_size, &item.ctx);
   } else {
     result = BasicBbSolveAnchored(dense, /*anchor=*/0, dense_options.limits,
-                                  best_size, &ctx);
+                                  best_size, &item.ctx);
   }
   stats.Merge(result.stats);
   // The first inexact search — whatever its cause — aborts the whole
   // scan; survivors claimed after it count as skipped.
-  fleet.Report(result);
-  if (result.best.BalancedSize() > best_size) {
-    out.best = dense.ToOriginal(result.best);
-    out.best_size = result.best.BalancedSize();
-  }
-  return out;
+  item.fleet.Report(result);
+  if (result.best.BalancedSize() <= best_size) return {};
+  return dense.ToOriginal(result.best);
 }
 
 }  // namespace
 
-/// The survivor fan-out: workers claim survivors from a shared counter,
-/// each with its own pooled context and stats shard, all pruning against
-/// one atomic incumbent and observing one stop token. One worker is the
-/// plain in-order scan.
+/// The survivor fan-out runs as an `IncumbentScan`.
 VerifyOutcome VerifyMbb(const BipartiteGraph& reduced,
                         std::uint32_t initial_best_size,
                         std::span<const CenteredSubgraph> survivors,
@@ -130,63 +121,33 @@ VerifyOutcome VerifyMbb(const BipartiteGraph& reduced,
   out.best_size = initial_best_size;
   out.stats.terminated_step = 3;
 
-  const std::size_t num_workers =
-      EffectiveThreadCount(options.num_threads, survivors.size());
-  // One worker's live snapshot is already timing-independent.
-  const bool frozen = options.dense.deterministic && num_workers > 1;
-  SharedBound shared_bound(initial_best_size);
+  SurvivorScan scan(options.dense.limits, options.num_threads,
+                    options.dense.deterministic, survivors.size(),
+                    initial_best_size, context);
   DenseMbbOptions dense_options = options.dense;
+  dense_options.limits = scan.limits();
   // The fan-out is the parallelism here: with several workers the anchored
-  // searches stay sequential inside (no nested work-stealing). One worker
-  // gets no speedup from the fan-out — a single hard survivor is exactly
-  // the one-worst-case-query scenario — so it hands the requested threads
-  // to the anchored search's work-stealing subtree layer instead.
-  dense_options.num_threads = num_workers == 1 ? options.num_threads : 1;
-  if (num_workers > 1) {
-    // In deterministic mode the searches prune against the step-2
-    // incumbent only, so each survivor's search — and the lowest-index
-    // reduce below — does not depend on worker timing.
-    dense_options.shared_bound = frozen ? nullptr : &shared_bound;
-  }
-  FleetStop fleet(dense_options.limits, num_workers);
+  // searches stay sequential inside (no nested work-stealing) and prune
+  // against the scan's live bound mid-search. One worker gets no speedup
+  // from the fan-out — a single hard survivor is exactly the
+  // one-worst-case-query scenario — so it hands the requested threads to
+  // the anchored search's work-stealing subtree layer instead.
+  dense_options.num_threads =
+      scan.num_workers() == 1 ? options.num_threads : 1;
+  dense_options.shared_bound = scan.shared_bound();
 
-  struct WorkerState {
-    SearchContext ctx;
-    CsrScratch scratch;
-  };
-  std::vector<WorkerState> workers(num_workers);
-  std::vector<SurvivorResult> results(survivors.size());
-
-  ParallelFor(num_workers, survivors.size(),
-              [&](std::size_t worker, std::size_t item) {
-                if (fleet.SkipIfStopped(worker)) return;
-                WorkerState& state = workers[worker];
-                // Worker 0 is the caller's thread: its anchored searches
-                // pool their branch frames in `context`.
-                SearchContext& ctx =
-                    worker == 0 && context != nullptr ? *context : state.ctx;
-                SurvivorResult result = ProcessSurvivor(
-                    reduced, survivors[item], options, dense_options,
-                    frozen ? initial_best_size : shared_bound.Load(), ctx,
-                    state.scratch, fleet.shard(worker), fleet);
-                if (result.best_size > 0 && !frozen) {
-                  shared_bound.RaiseTo(result.best_size);
-                }
-                results[item] = std::move(result);
-              });
-  out.exact = fleet.Finish(out.stats);
-
-  // Reduce: the lowest-index recorded improvement at the global maximum
-  // wins. With several workers, which survivors record one depends on when
-  // their worker snapshotted the shared bound, so between equally-sized
-  // optima the reported biclique (never its size) may vary with
-  // interleaving.
-  for (SurvivorResult& result : results) {
-    if (result.best_size > out.best_size) {
-      out.best = std::move(result.best);
-      out.best_size = result.best_size;
-      out.improved = true;
-    }
+  std::vector<Biclique> results(survivors.size());
+  out.exact = scan.Run(
+      [&](SurvivorScan::Item& item) {
+        results[item.index] = ProcessSurvivor(reduced, survivors[item.index],
+                                              options, dense_options, item);
+        return results[item.index].BalancedSize();
+      },
+      out.stats);
+  if (const std::size_t winner = scan.Winner(); winner < survivors.size()) {
+    out.best = std::move(results[winner]);
+    out.best_size = out.best.BalancedSize();
+    out.improved = true;
   }
   return out;
 }

@@ -55,7 +55,8 @@ struct VerifyOutcome {
 /// ("must contain the centre") with the incumbent as lower bound.
 /// Worker 0 runs on the caller's thread and its anchored searches share
 /// `context`'s pooled scratch (a transient context is used when nullptr);
-/// every other worker owns its own context. The first inexact anchored
+/// every other worker owns its own context. The stop token and deadline
+/// are checked before each survivor, and the first inexact anchored
 /// search — deadline, recursion cap, or external stop — aborts the whole
 /// scan; survivors cut off this way are counted in
 /// `stats.subgraphs_skipped` with the cause in `stats.stop_cause`. On runs

@@ -70,11 +70,6 @@ bool StealDeque::StealTop(Task& out) {
   return true;
 }
 
-std::size_t StealDeque::Size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_.size();
-}
-
 // ---------------------------------------------------------------------------
 // StealScheduler
 // ---------------------------------------------------------------------------
@@ -86,7 +81,6 @@ void StealScheduler::Spawn(std::size_t worker, Task task) {
   // Increment before publishing the task: a worker observing
   // `outstanding_ == 0` can then be certain no task exists anywhere.
   outstanding_.fetch_add(1, std::memory_order_relaxed);
-  spawned_.fetch_add(1, std::memory_order_relaxed);
   deques_[worker].PushBottom(std::move(task));
 }
 
@@ -147,7 +141,6 @@ void StealScheduler::WorkerLoop(std::size_t worker) {
     }
     if (TrySteal(worker, rng, task)) {
       set_idle(false);
-      stolen_.fetch_add(1, std::memory_order_relaxed);
       Execute(worker, task);
       continue;
     }

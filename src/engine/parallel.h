@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/stats.h"
+#include "engine/search_context.h"
 
 namespace mbb {
 
@@ -57,10 +58,8 @@ class StealDeque {
   /// Any thread; oldest task first. Returns false when empty.
   bool StealTop(Task& out);
 
-  std::size_t Size() const;
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::deque<Task> tasks_;
 };
 
@@ -101,14 +100,6 @@ class StealScheduler {
   void Run();
 
   std::size_t num_workers() const { return deques_.size(); }
-  /// Total tasks enqueued via Spawn.
-  std::uint64_t tasks_spawned() const {
-    return spawned_.load(std::memory_order_relaxed);
-  }
-  /// Tasks that executed on a worker other than the one that spawned them.
-  std::uint64_t tasks_stolen() const {
-    return stolen_.load(std::memory_order_relaxed);
-  }
   /// Workers that found neither a local nor a stealable task on their last
   /// look and are waiting for one. A running task reads it (relaxed) to
   /// decide whether to split off work; 0 once `Run()` has returned.
@@ -123,15 +114,13 @@ class StealScheduler {
 
   std::vector<StealDeque> deques_;
   std::atomic<std::size_t> outstanding_{0};
-  std::atomic<std::uint64_t> spawned_{0};
-  std::atomic<std::uint64_t> stolen_{0};
   std::atomic<std::size_t> idle_{0};
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
 };
 
-/// The stop protocol every parallel fan-out follows — the verify survivor
-/// scan, the FMBE scope scan and the denseMBB subtree driver:
+/// The stop protocol every parallel fan-out follows — `IncumbentScan` and
+/// the denseMBB subtree driver:
 ///
 /// 1. one `StopToken` for the whole fleet: the caller's, or a fresh one
 ///    installed into the fleet's `SearchLimits` when the caller passed
@@ -167,6 +156,123 @@ class FleetStop {
   std::shared_ptr<StopToken> token_;
   std::vector<SearchStats> shards_;
   std::atomic<bool> inexact_{false};
+};
+
+/// The incumbent scan of bridgeMBB's centres (Algorithm 6), verifyMBB's
+/// survivors (Algorithm 8) and FMBE's scopes: take items in order, prune
+/// each against the incumbent |A*|, search it, and raise |A*|. The call
+/// site supplies the per-item work and its result slots; every rule the
+/// scans share lives here.
+///
+/// - Workers: `EffectiveThreadCount` of them on `ParallelFor`, each with
+///   its own `Worker` state, `SearchContext` and stats shard. Worker 0 is
+///   the caller's thread and uses the caller's context when one is passed.
+/// - Stopping: one `FleetStop`. Before each item the deadline (read only
+///   when one is set) and then the token are checked; a stopped scan
+///   counts every later item in `subgraphs_skipped`. The watchdog
+///   heartbeat (`StopToken::Touch`) is left to the searches: one shared
+///   counter bumped per item would bounce between the workers.
+/// - The bound: an item prunes against the live `SharedBound`, or, with
+///   `deterministic` and several workers, against the frozen incoming
+///   bound, so no item's work depends on worker timing (one worker's live
+///   bound already does not).
+/// - The reduce: the winner is the first item, in index order, with a
+///   strictly larger improvement. Each improvement raises the shared bound
+///   unless it is frozen.
+///
+/// Pruning against any bound between the incoming and the final incumbent
+/// is sound, and whoever first raises the bound to the maximum recorded its
+/// improvement, so the best size is the same at any worker count.
+template <typename Worker>
+class IncumbentScan {
+ public:
+  /// What the per-item function gets. `bound` is the incumbent the item
+  /// prunes against and `stats` the worker's shard; an anchored search
+  /// reports its outcome to `fleet`, and an inexact one stops the scan.
+  struct Item {
+    std::size_t index;
+    std::uint32_t bound;
+    Worker& state;
+    SearchContext& ctx;
+    SearchStats& stats;
+    FleetStop& fleet;
+  };
+
+  IncumbentScan(const SearchLimits& limits, std::uint32_t num_threads,
+                bool deterministic, std::size_t num_items,
+                std::uint32_t initial_best, SearchContext* context)
+      : limits_(limits),
+        num_workers_(EffectiveThreadCount(num_threads, num_items)),
+        frozen_(deterministic && num_workers_ > 1),
+        initial_best_(initial_best),
+        context_(context),
+        bound_(initial_best),
+        fleet_(limits_, num_workers_),
+        workers_(num_workers_),
+        improvements_(num_items, 0) {}
+
+  std::size_t num_workers() const { return num_workers_; }
+  /// The caller's limits with the scan's stop token installed.
+  const SearchLimits& limits() const { return limits_; }
+  /// The live bound for searches that share it mid-search; null with one
+  /// worker or when frozen.
+  SharedBound* shared_bound() {
+    return num_workers_ > 1 && !frozen_ ? &bound_ : nullptr;
+  }
+
+  /// Runs `fn(Item&)` once per item not skipped; `fn` returns the balanced
+  /// size of the improvement it stored in its result slot, 0 for none.
+  /// Merges the shards into `stats`; returns whether no limit fired.
+  template <typename Fn>
+  bool Run(Fn&& fn, SearchStats& stats) {
+    ParallelFor(num_workers_, improvements_.size(),
+                [&](std::size_t worker, std::size_t index) {
+                  if (limits_.DeadlinePassed()) {
+                    limits_.stop_token->RequestStop(StopCause::kDeadline);
+                  }
+                  if (fleet_.SkipIfStopped(worker)) return;
+                  Slot& slot = workers_[worker];
+                  Item item{index,
+                            frozen_ ? initial_best_ : bound_.Load(),
+                            slot.state,
+                            worker == 0 && context_ != nullptr ? *context_
+                                                               : slot.ctx,
+                            fleet_.shard(worker),
+                            fleet_};
+                  improvements_[index] = fn(item);
+                  if (!frozen_) bound_.RaiseTo(improvements_[index]);
+                });
+    return fleet_.Finish(stats);
+  }
+
+  /// After `Run`: the winning item, or the item count when none improved.
+  std::size_t Winner() const {
+    std::size_t winner = improvements_.size();
+    std::uint32_t best = initial_best_;
+    for (std::size_t i = 0; i < improvements_.size(); ++i) {
+      if (improvements_[i] > best) {
+        best = improvements_[i];
+        winner = i;
+      }
+    }
+    return winner;
+  }
+
+ private:
+  struct Slot {
+    Worker state;
+    SearchContext ctx;
+  };
+
+  SearchLimits limits_;
+  const std::size_t num_workers_;
+  const bool frozen_;
+  const std::uint32_t initial_best_;
+  SearchContext* const context_;
+  SharedBound bound_;
+  FleetStop fleet_;
+  std::vector<Slot> workers_;
+  std::vector<std::uint32_t> improvements_;
 };
 
 }  // namespace mbb

@@ -24,25 +24,6 @@ std::size_t CountAnd(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-std::size_t CountAndNot(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t words) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < words; ++i) {
-    total += static_cast<std::size_t>(__builtin_popcountll(a[i] & ~b[i]));
-  }
-  return total;
-}
-
-void AndAssign(std::uint64_t* dst, const std::uint64_t* src,
-               std::size_t words) {
-  for (std::size_t i = 0; i < words; ++i) dst[i] &= src[i];
-}
-
-void AndNotAssign(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t words) {
-  for (std::size_t i = 0; i < words; ++i) dst[i] &= ~src[i];
-}
-
 void AndInto(std::uint64_t* dst, const std::uint64_t* a,
              const std::uint64_t* b, std::size_t words) {
   for (std::size_t i = 0; i < words; ++i) dst[i] = a[i] & b[i];
@@ -70,16 +51,14 @@ namespace detail {
 namespace {
 
 constexpr KernelTable kScalarTable = {
-    "scalar",           scalar::Count,        scalar::CountAnd,
-    scalar::CountAndNot, scalar::AndAssign,   scalar::AndNotAssign,
-    scalar::AndInto,    scalar::AndCountInto, scalar::AndNotInto,
+    "scalar",        scalar::Count,        scalar::CountAnd,
+    scalar::AndInto, scalar::AndCountInto, scalar::AndNotInto,
 };
 
 #ifdef MBB_HAVE_AVX2
 constexpr KernelTable kAvx2Table = {
-    "avx2",            avx2::Count,        avx2::CountAnd,
-    avx2::CountAndNot, avx2::AndAssign,    avx2::AndNotAssign,
-    avx2::AndInto,     avx2::AndCountInto, avx2::AndNotInto,
+    "avx2",        avx2::Count,        avx2::CountAnd,
+    avx2::AndInto, avx2::AndCountInto, avx2::AndNotInto,
 };
 #endif
 

@@ -39,10 +39,6 @@ struct KernelTable {
   std::size_t (*count)(const std::uint64_t*, std::size_t);
   std::size_t (*count_and)(const std::uint64_t*, const std::uint64_t*,
                            std::size_t);
-  std::size_t (*count_and_not)(const std::uint64_t*, const std::uint64_t*,
-                               std::size_t);
-  void (*and_assign)(std::uint64_t*, const std::uint64_t*, std::size_t);
-  void (*and_not_assign)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*and_into)(std::uint64_t*, const std::uint64_t*,
                    const std::uint64_t*, std::size_t);
   std::size_t (*and_count_into)(std::uint64_t*, const std::uint64_t*,
@@ -90,12 +86,6 @@ namespace scalar {
 std::size_t Count(const std::uint64_t* a, std::size_t words);
 std::size_t CountAnd(const std::uint64_t* a, const std::uint64_t* b,
                      std::size_t words);
-std::size_t CountAndNot(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t words);
-void AndAssign(std::uint64_t* dst, const std::uint64_t* src,
-               std::size_t words);
-void AndNotAssign(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t words);
 void AndInto(std::uint64_t* dst, const std::uint64_t* a,
              const std::uint64_t* b, std::size_t words);
 std::size_t AndCountInto(std::uint64_t* dst, const std::uint64_t* a,
@@ -113,12 +103,6 @@ namespace avx2 {
 std::size_t Count(const std::uint64_t* a, std::size_t words);
 std::size_t CountAnd(const std::uint64_t* a, const std::uint64_t* b,
                      std::size_t words);
-std::size_t CountAndNot(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t words);
-void AndAssign(std::uint64_t* dst, const std::uint64_t* src,
-               std::size_t words);
-void AndNotAssign(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t words);
 void AndInto(std::uint64_t* dst, const std::uint64_t* a,
              const std::uint64_t* b, std::size_t words);
 std::size_t AndCountInto(std::uint64_t* dst, const std::uint64_t* a,
@@ -156,39 +140,6 @@ inline std::size_t CountAnd(const std::uint64_t* a, const std::uint64_t* b,
     return total;
   }
   return detail::Active().count_and(a, b, words);
-}
-
-/// `popcount(a & ~b)` without materializing the difference.
-inline std::size_t CountAndNot(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t words) {
-  if (words <= detail::kInlineWordLimit) {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < words; ++i) {
-      total += static_cast<std::size_t>(__builtin_popcountll(a[i] & ~b[i]));
-    }
-    return total;
-  }
-  return detail::Active().count_and_not(a, b, words);
-}
-
-/// `dst &= src`.
-inline void AndAssign(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t words) {
-  if (words <= detail::kInlineWordLimit) {
-    for (std::size_t i = 0; i < words; ++i) dst[i] &= src[i];
-    return;
-  }
-  detail::Active().and_assign(dst, src, words);
-}
-
-/// `dst &= ~src`.
-inline void AndNotAssign(std::uint64_t* dst, const std::uint64_t* src,
-                         std::size_t words) {
-  if (words <= detail::kInlineWordLimit) {
-    for (std::size_t i = 0; i < words; ++i) dst[i] &= ~src[i];
-    return;
-  }
-  detail::Active().and_not_assign(dst, src, words);
 }
 
 /// Fused intersect-into: `dst = a & b` in one sweep (the searches used to

@@ -78,53 +78,6 @@ std::size_t CountAnd(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-std::size_t CountAndNot(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // andnot computes ~first & second.
-    acc = _mm256_add_epi64(acc, PopCount256(_mm256_andnot_si256(vb, va)));
-  }
-  std::size_t total = HorizontalSum(acc);
-  for (; i < words; ++i) {
-    total += static_cast<std::size_t>(__builtin_popcountll(a[i] & ~b[i]));
-  }
-  return total;
-}
-
-void AndAssign(std::uint64_t* dst, const std::uint64_t* src,
-               std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(vd, vs));
-  }
-  for (; i < words; ++i) dst[i] &= src[i];
-}
-
-void AndNotAssign(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_andnot_si256(vs, vd));
-  }
-  for (; i < words; ++i) dst[i] &= ~src[i];
-}
-
 void AndInto(std::uint64_t* dst, const std::uint64_t* a,
              const std::uint64_t* b, std::size_t words) {
   std::size_t i = 0;

@@ -105,28 +105,6 @@ class BitSpan {
     return bitops::CountAnd(words_, other.words_, word_count());
   }
 
-  /// `|this \ other|`. Preconditions: `size() == other.size()`.
-  std::size_t CountAndNot(BitSpan other) const {
-    assert(num_bits_ == other.num_bits_);
-    return bitops::CountAndNot(words_, other.words_, word_count());
-  }
-
-  bool Intersects(BitSpan other) const {
-    assert(num_bits_ == other.num_bits_);
-    for (std::size_t w = 0, n = word_count(); w < n; ++w) {
-      if ((words_[w] & other.words_[w]) != 0) return true;
-    }
-    return false;
-  }
-
-  bool IsSubsetOf(BitSpan other) const {
-    assert(num_bits_ == other.num_bits_);
-    for (std::size_t w = 0, n = word_count(); w < n; ++w) {
-      if ((words_[w] & ~other.words_[w]) != 0) return false;
-    }
-    return true;
-  }
-
   /// Semantic equality: same size, same bits.
   bool ContentEquals(BitSpan other) const {
     if (num_bits_ != other.num_bits_) return false;
@@ -200,11 +178,6 @@ class BitRow {
   int FindFirst() const { return Span().FindFirst(); }
   int FindNext(std::size_t i) const { return Span().FindNext(i); }
   std::size_t CountAnd(BitSpan other) const { return Span().CountAnd(other); }
-  std::size_t CountAndNot(BitSpan other) const {
-    return Span().CountAndNot(other);
-  }
-  bool Intersects(BitSpan other) const { return Span().Intersects(other); }
-  bool IsSubsetOf(BitSpan other) const { return Span().IsSubsetOf(other); }
   bool ContentEquals(BitSpan other) const {
     return Span().ContentEquals(other);
   }
@@ -266,18 +239,6 @@ class BitRow {
     assert(BitWords(src.size()) <= capacity_words_);
     num_bits_ = src.size();
     std::memcpy(words_, src.words(), word_count() * sizeof(std::uint64_t));
-  }
-
-  BitRow& operator&=(BitSpan other) {
-    assert(num_bits_ == other.size());
-    bitops::AndAssign(words_, other.words(), word_count());
-    return *this;
-  }
-
-  BitRow& AndNotAssign(BitSpan other) {
-    assert(num_bits_ == other.size());
-    bitops::AndNotAssign(words_, other.words(), word_count());
-    return *this;
   }
 
   /// Fused `*this &= other` returning the popcount of the result in the

@@ -27,11 +27,11 @@ void CsrScratch::Reset(std::uint32_t num_left, std::uint32_t num_right,
                        std::uint64_t num_edges_hint) {
   MBB_INJECT_FAULT("alloc.csr", throw std::bad_alloc());
   // Approximate footprint of the buffers reserved below: both sides hold
-  // the adjacency (ids + alive bytes) plus per-vertex arrays. Charged
-  // up front so a budgeted solve fails here, before the copies happen.
+  // the adjacency plus per-vertex arrays. Charged up front so a budgeted
+  // solve fails here, before the copies happen.
   const std::uint64_t per_vertex =
       sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(VertexId) + 1;
-  const std::uint64_t per_edge = sizeof(VertexId) + 1;
+  const std::uint64_t per_edge = sizeof(VertexId);
   RechargeBudget(2 * num_edges_hint * per_edge +
                  (static_cast<std::uint64_t>(num_left) + num_right) *
                      per_vertex);
@@ -41,7 +41,6 @@ void CsrScratch::Reset(std::uint32_t num_left, std::uint32_t num_right,
     offsets_[s].reserve(n[s] + 1);
     adj_[s].clear();
     adj_[s].reserve(num_edges_hint);
-    edge_alive_[s].clear();
     degree_[s].clear();
     degree_[s].reserve(n[s]);
     alive_[s].assign(n[s], 1);
@@ -73,8 +72,6 @@ void CsrScratch::BuildRightFromLeft() {
       }
     }
   }
-  edge_alive_[0].assign(adj_[0].size(), 1);
-  edge_alive_[1].assign(adj_[1].size(), 1);
   degree_[1].assign(num_right, 0);
   for (VertexId r = 0; r < num_right; ++r) {
     degree_[1][r] =
@@ -138,44 +135,6 @@ void CsrScratch::LoadSubgraph(const BipartiteGraph& g,
   BuildRightFromLeft();
 }
 
-void CsrScratch::DeleteVertex(Side side, VertexId v) {
-  const int s = static_cast<int>(side);
-  if (alive_[s][v] == 0) return;
-  alive_[s][v] = 0;
-  --num_alive_[s];
-  live_edges_ -= degree_[s][v];
-  const int o = 1 - s;
-  for (std::uint64_t i = offsets_[s][v]; i < offsets_[s][v + 1]; ++i) {
-    if (edge_alive_[s][i] == 0) continue;
-    const VertexId w = adj_[s][i];
-    if (alive_[o][w] == 0) continue;
-    --degree_[o][w];
-  }
-  degree_[s][v] = 0;
-}
-
-bool CsrScratch::DeleteEdge(VertexId l, VertexId r) {
-  if (alive_[0][l] == 0 || alive_[1][r] == 0) return false;
-  const auto find = [this](int s, VertexId v, VertexId w) -> std::uint64_t {
-    const std::uint64_t begin = offsets_[s][v];
-    const std::uint64_t end = offsets_[s][v + 1];
-    const auto it = std::lower_bound(adj_[s].begin() + begin,
-                                     adj_[s].begin() + end, w);
-    if (it == adj_[s].begin() + end || *it != w) return ~std::uint64_t{0};
-    return static_cast<std::uint64_t>(it - adj_[s].begin());
-  };
-  const std::uint64_t li = find(0, l, r);
-  if (li == ~std::uint64_t{0} || edge_alive_[0][li] == 0) return false;
-  const std::uint64_t ri = find(1, r, l);
-  assert(ri != ~std::uint64_t{0} && edge_alive_[1][ri] != 0);
-  edge_alive_[0][li] = 0;
-  edge_alive_[1][ri] = 0;
-  --degree_[0][l];
-  --degree_[1][r];
-  --live_edges_;
-  return true;
-}
-
 PeelStats CsrScratch::PeelToCore(std::uint32_t k) {
   PeelStats stats;
   if (k == 0) return stats;
@@ -193,14 +152,13 @@ PeelStats CsrScratch::PeelToCore(std::uint32_t k) {
     peel_queue_.pop_back();
     if (alive_[s][v] == 0) continue;
     const int o = 1 - s;
-    // Inline DeleteVertex so neighbours crossing the threshold are queued.
+    // Kill `v`, queueing neighbours whose live degree crosses below k.
     alive_[s][v] = 0;
     --num_alive_[s];
     live_edges_ -= degree_[s][v];
     stats.edges_removed += degree_[s][v];
     ++stats.vertices_removed;
     for (std::uint64_t i = offsets_[s][v]; i < offsets_[s][v + 1]; ++i) {
-      if (edge_alive_[s][i] == 0) continue;
       const VertexId w = adj_[s][i];
       if (alive_[o][w] == 0) continue;
       if (--degree_[o][w] == k - 1) {
@@ -249,7 +207,6 @@ InducedSubgraph CsrScratch::Compact() const {
     if (alive_[0][l] == 0) continue;
     out.left_to_old.push_back(old_id_[0][l]);
     for (std::uint64_t i = offsets_[0][l]; i < offsets_[0][l + 1]; ++i) {
-      if (edge_alive_[0][i] == 0) continue;
       const VertexId r = adj_[0][i];
       if (alive_[1][r] == 0) continue;
       // Live scratch rows are sorted and `right_new` is monotone in the

@@ -63,14 +63,14 @@ struct PeelStats {
 };
 
 /// Mutable CSR scratch for in-place sparse reduction: a re-indexed copy of
-/// a graph (or of a vertex-induced subgraph) supporting vertex and edge
-/// deletion with O(1) degree queries, queue-based core peeling, and O(|E|)
-/// compaction back into a `BipartiteGraph` through `FromCsrLeft`, without
-/// an edge list or the per-row sorts of `BipartiteGraph::FromEdges`.
+/// a graph (or of a vertex-induced subgraph) with O(1) live-degree
+/// queries, queue-based core peeling, and O(|E|) compaction back into a
+/// `BipartiteGraph` through `FromCsrLeft`, without an edge list or the
+/// per-row sorts of `BipartiteGraph::FromEdges`.
 ///
-/// Deletions are tombstones: a dead vertex keeps its adjacency entries but
-/// neighbour iteration skips entries whose edge or endpoint is dead, and
-/// `Degree` always reports the live degree (maintained incrementally).
+/// Peeling kills vertices by tombstone: a dead vertex keeps its adjacency
+/// entries but neighbour iteration skips dead endpoints, and `Degree`
+/// always reports the live degree (maintained incrementally).
 /// The object is designed for reuse — `Load`/`LoadSubgraph` recycle every
 /// internal buffer, so a per-worker scratch amortises all allocation
 /// across a scan of many centred subgraphs.
@@ -106,7 +106,7 @@ class CsrScratch {
   bool Alive(Side side, VertexId v) const {
     return alive_[static_cast<int>(side)][v] != 0;
   }
-  /// Live degree (dead neighbours and deleted edges excluded). O(1).
+  /// Live degree (dead neighbours excluded). O(1).
   std::uint32_t Degree(Side side, VertexId v) const {
     return degree_[static_cast<int>(side)][v];
   }
@@ -116,15 +116,6 @@ class CsrScratch {
     return old_id_[static_cast<int>(side)][v];
   }
 
-  /// Kills `v` and decrements every live neighbour's degree. O(deg(v)).
-  /// No-op when already dead.
-  void DeleteVertex(Side side, VertexId v);
-
-  /// Deletes edge `(l, r)` (scratch ids). O(log deg) — the tombstone is
-  /// located by binary search in both directions. Returns false when the
-  /// edge does not exist or is already dead.
-  bool DeleteEdge(VertexId l, VertexId r);
-
   /// Calls `fn(VertexId)` for every live neighbour of `v`, in sorted order.
   template <typename Fn>
   void ForEachNeighbor(Side side, VertexId v, Fn&& fn) const {
@@ -133,7 +124,6 @@ class CsrScratch {
     const std::uint64_t begin = offsets_[s][v];
     const std::uint64_t end = offsets_[s][v + 1];
     for (std::uint64_t i = begin; i < end; ++i) {
-      if (edge_alive_[s][i] == 0) continue;
       const VertexId w = adj_[s][i];
       if (alive_[o][w] == 0) continue;
       fn(w);
@@ -170,7 +160,6 @@ class CsrScratch {
   // Per side (0 = left, 1 = right):
   std::vector<std::uint64_t> offsets_[2];
   std::vector<VertexId> adj_[2];
-  std::vector<std::uint8_t> edge_alive_[2];  // parallel to adj_
   std::vector<std::uint32_t> degree_[2];
   std::vector<std::uint8_t> alive_[2];
   std::vector<VertexId> old_id_[2];

@@ -539,12 +539,13 @@ bool Server::RunJob(Job job, SearchContext* context) {
     std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
   }
 
-  if (job.token->StopRequested()) {
+  // A token the watchdog's deadline backstop tripped during the stall
+  // above is no cancel: the deadline lapsed, and the expiry branch below
+  // answers it.
+  const StopCause cause = job.token->cause();
+  if (cause != StopCause::kNone && cause != StopCause::kDeadline) {
     Response response = CancelledResponse(job, queue_ms);
-    const StopCause cause = job.token->cause();
-    if (cause != StopCause::kNone) {
-      response.stop_cause = StopCauseName(cause);
-    }
+    response.stop_cause = StopCauseName(cause);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.cancelled;
@@ -566,12 +567,12 @@ bool Server::RunJob(Job job, SearchContext* context) {
     response.stop_cause = StopCauseName(StopCause::kDeadline);
     if (DegradesToGreedy(job.request.algo)) {
       // The greedy never polls the token but is bounded by its work cap.
-      // Take the job off the deadline backstop, which would otherwise trip
-      // the token, see no heartbeat and abandon a healthy worker.
+      // Take the job off the watchdog: its deadline backstop would trip
+      // the token, and its stall clock (running once a trip was seen)
+      // would see no heartbeat and abandon a healthy worker.
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = in_flight_.find(serial);
-        if (it != in_flight_.end()) it->second.has_deadline = false;
+        in_flight_.erase(serial);
       }
       const Biclique incumbent = HeuristicIncumbent(job.request.graph);
       response.size = incumbent.BalancedSize();

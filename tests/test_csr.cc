@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <random>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,81 +126,6 @@ TEST(CsrScratch, LoadSubgraphMatchesInduce) {
         EXPECT_EQ(ScratchNeighbors(scratch, side, v),
                   GraphNeighbors(induced.graph, side, v));
       }
-    }
-  }
-}
-
-TEST(CsrScratch, DeletionsMatchReferenceModel) {
-  std::mt19937 rng(11);
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const BipartiteGraph g = RandomGraph(20, 20, 0.3, seed);
-    CsrScratch scratch;
-    scratch.Load(g);
-
-    // Reference model: live edge set + live vertex sets.
-    std::set<std::pair<VertexId, VertexId>> edges;
-    std::set<VertexId> alive[2];
-    for (VertexId l = 0; l < g.num_left(); ++l) {
-      alive[0].insert(l);
-      for (const VertexId r : g.Neighbors(Side::kLeft, l)) {
-        edges.emplace(l, r);
-      }
-    }
-    for (VertexId r = 0; r < g.num_right(); ++r) alive[1].insert(r);
-
-    const auto check = [&] {
-      std::uint64_t live_model = 0;
-      for (const auto& [l, r] : edges) {
-        if (alive[0].count(l) != 0 && alive[1].count(r) != 0) ++live_model;
-      }
-      EXPECT_EQ(scratch.num_live_edges(), live_model);
-      for (const Side side : {Side::kLeft, Side::kRight}) {
-        const int s = static_cast<int>(side);
-        EXPECT_EQ(scratch.NumAlive(side), alive[s].size());
-        for (VertexId v = 0; v < g.NumVertices(side); ++v) {
-          EXPECT_EQ(scratch.Alive(side, v), alive[s].count(v) != 0);
-          if (alive[s].count(v) == 0) continue;
-          std::vector<VertexId> expected;
-          for (const VertexId w : GraphNeighbors(g, side, v)) {
-            const auto key = side == Side::kLeft ? std::pair{v, w}
-                                                 : std::pair{w, v};
-            if (edges.count(key) != 0 && alive[1 - s].count(w) != 0) {
-              expected.push_back(w);
-            }
-          }
-          EXPECT_EQ(ScratchNeighbors(scratch, side, v), expected);
-          EXPECT_EQ(scratch.Degree(side, v), expected.size());
-        }
-      }
-    };
-
-    // Interleave vertex and edge deletions, checking the full state after
-    // each batch.
-    for (int round = 0; round < 6; ++round) {
-      if (round % 2 == 0 && !edges.empty()) {
-        // Delete a random existing edge (possibly with a dead endpoint —
-        // DeleteEdge must handle both).
-        auto it = edges.begin();
-        std::advance(it, std::uniform_int_distribution<std::size_t>(
-                             0, edges.size() - 1)(rng));
-        const auto [l, r] = *it;
-        const bool was_live =
-            alive[0].count(l) != 0 && alive[1].count(r) != 0;
-        EXPECT_EQ(scratch.DeleteEdge(l, r), was_live);
-        edges.erase(it);
-        EXPECT_FALSE(scratch.DeleteEdge(l, r));  // already dead
-      } else {
-        const Side side = round % 4 < 2 ? Side::kLeft : Side::kRight;
-        const int s = static_cast<int>(side);
-        if (alive[s].empty()) continue;
-        auto it = alive[s].begin();
-        std::advance(it, std::uniform_int_distribution<std::size_t>(
-                             0, alive[s].size() - 1)(rng));
-        scratch.DeleteVertex(side, *it);
-        scratch.DeleteVertex(side, *it);  // no-op when already dead
-        alive[s].erase(it);
-      }
-      check();
     }
   }
 }

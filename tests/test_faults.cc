@@ -601,6 +601,38 @@ TEST_F(FaultsTest, ExpiredJobKeepsItsGreedyAnswerUnderTheWatchdog) {
   EXPECT_EQ(counters.watchdog_abandoned, 0u);
 }
 
+TEST_F(FaultsTest, BackstopTripDuringPreSolveStallKeepsTheGreedyAnswer) {
+  // The worker picks the job up before its deadline, so it sits under the
+  // watchdog's deadline backstop, then stalls 550 ms before its solve. The
+  // backstop trips the token at ~400 ms (deadline + stall bound); the
+  // worker wakes at 550 ms, well before the stall clock would abandon it
+  // (~700 ms). A deadline trip is no cancel: the job is expired and gets
+  // the greedy answer.
+  ServerOptions options = FaultServer(1);
+  options.cache_capacity = 0;
+  options.watchdog_poll_ms = 5;
+  options.watchdog_stall_ms = 300;
+  options.fault_spec = "serve.worker_stall:nth=1,ms=550";
+  Server server(options);
+
+  Request request =
+      SolveRequest("tripped", RandomUniform(60, 60, 0.5, 1), "auto");
+  request.deadline_ms = 100;
+  request.use_cache = false;
+  const Response response = server.SubmitAndWait(request);
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_FALSE(response.exact);
+  EXPECT_TRUE(response.degraded);
+  EXPECT_EQ(response.stop_cause, "deadline");
+  EXPECT_GT(response.size, 0u);
+  server.Shutdown();
+  const auto counters = server.Counters();
+  EXPECT_EQ(counters.watchdog_deadline_trips, 1u);
+  EXPECT_EQ(counters.expired_in_queue, 1u);
+  EXPECT_EQ(counters.cancelled, 0u);
+  EXPECT_EQ(counters.watchdog_abandoned, 0u);
+}
+
 // --- Transports -----------------------------------------------------------
 
 /// Minimal blocking loopback client for the TCP front end.

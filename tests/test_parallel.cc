@@ -1,11 +1,13 @@
 /// Tests for the parallel execution layer: the worker pool, the shared
-/// stop-token / incumbent primitives, that the verifyMBB fan-out returns
-/// the same best balanced size at every thread count as with one worker,
-/// and exact one-worker counters and witnesses of the sparse pipeline.
+/// stop-token / incumbent primitives, the incumbent scan, that the
+/// verifyMBB fan-out returns the same best balanced size at every thread
+/// count as with one worker, and exact one-worker and deterministic
+/// four-worker counters and witnesses of the sparse pipeline.
 
 #include "engine/parallel.h"
 
 #include <atomic>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -112,6 +114,119 @@ TEST(StopToken, FirstCauseWinsUnderConcurrency) {
   EXPECT_TRUE(token.StopRequested());
   const StopCause cause = token.cause();
   EXPECT_TRUE(cause == StopCause::kDeadline || cause == StopCause::kExternal);
+}
+
+// ---------------------------------------------------------------------------
+// IncumbentScan: stops placed by item, the reduce, the frozen bound.
+// ---------------------------------------------------------------------------
+
+struct NoWorkerState {};
+using TestScan = IncumbentScan<NoWorkerState>;
+
+TEST(IncumbentScan, StopInsideAnItemSkipsExactlyTheLaterItemsAtOneWorker) {
+  constexpr std::size_t kItems = 20;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{7}, kItems - 1}) {
+    TestScan scan(SearchLimits{}, 1, false, kItems, 0, nullptr);
+    std::vector<std::size_t> ran;
+    SearchStats stats;
+    const bool exact = scan.Run(
+        [&](TestScan::Item& item) -> std::uint32_t {
+          ran.push_back(item.index);
+          if (item.index == k) {
+            scan.limits().stop_token->RequestStop(StopCause::kExternal);
+          }
+          return 0;
+        },
+        stats);
+    std::vector<std::size_t> expected(k + 1);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(ran, expected) << k;
+    EXPECT_EQ(stats.subgraphs_skipped, kItems - k - 1) << k;
+    EXPECT_EQ(exact, k == kItems - 1) << k;
+    EXPECT_EQ(stats.stop_cause, StopCause::kExternal) << k;
+  }
+}
+
+TEST(IncumbentScan, StopInsideAnItemRunsOrSkipsEveryItemOnceAtFourWorkers) {
+  constexpr std::size_t kItems = 200;
+  for (int trial = 0; trial < 20; ++trial) {
+    TestScan scan(SearchLimits{}, 4, false, kItems, 0, nullptr);
+    ASSERT_EQ(scan.num_workers(), 4u);
+    std::vector<std::atomic<int>> runs(kItems);
+    SearchStats stats;
+    const bool exact = scan.Run(
+        [&](TestScan::Item& item) -> std::uint32_t {
+          runs[item.index].fetch_add(1, std::memory_order_relaxed);
+          if (item.index == 50) {
+            scan.limits().stop_token->RequestStop(StopCause::kExternal);
+          }
+          return 0;
+        },
+        stats);
+    std::size_t ran = 0;
+    for (const std::atomic<int>& r : runs) {
+      EXPECT_LE(r.load(), 1);
+      ran += static_cast<std::size_t>(r.load());
+    }
+    EXPECT_EQ(runs[50].load(), 1);
+    EXPECT_FALSE(exact);
+    EXPECT_EQ(ran + stats.subgraphs_skipped, kItems);
+  }
+}
+
+TEST(IncumbentScan, WinnerIsTheFirstStrictMaximum) {
+  const std::vector<std::uint32_t> sizes = {0, 3, 5, 2, 5, 4, 0};
+  for (const std::uint32_t threads : {1u, 4u}) {
+    for (const bool deterministic : {false, true}) {
+      TestScan scan(SearchLimits{}, threads, deterministic, sizes.size(), 1,
+                    nullptr);
+      SearchStats stats;
+      EXPECT_TRUE(scan.Run(
+          [&](TestScan::Item& item) { return sizes[item.index]; }, stats));
+      EXPECT_EQ(scan.Winner(), 2u) << threads << " " << deterministic;
+    }
+  }
+  // Nothing beats the incoming bound: no winner.
+  TestScan none(SearchLimits{}, 1, false, sizes.size(), 5, nullptr);
+  SearchStats stats;
+  none.Run([&](TestScan::Item&) -> std::uint32_t { return 0; }, stats);
+  EXPECT_EQ(none.Winner(), sizes.size());
+}
+
+TEST(IncumbentScan, DeterministicWorkersPruneAgainstTheFrozenBound) {
+  constexpr std::size_t kItems = 64;
+  constexpr std::uint32_t kInitial = 3;
+  TestScan frozen(SearchLimits{}, 4, true, kItems, kInitial, nullptr);
+  EXPECT_EQ(frozen.shared_bound(), nullptr);
+  std::vector<std::uint32_t> bounds(kItems, 0);
+  SearchStats stats;
+  frozen.Run(
+      [&](TestScan::Item& item) {
+        bounds[item.index] = item.bound;
+        return static_cast<std::uint32_t>(kInitial + 1 + item.index);
+      },
+      stats);
+  for (const std::uint32_t bound : bounds) EXPECT_EQ(bound, kInitial);
+  EXPECT_EQ(frozen.Winner(), kItems - 1);
+
+  // One worker's bound is live even when deterministic, and worker 0
+  // runs on the caller's context.
+  SearchContext caller;
+  TestScan live(SearchLimits{}, 1, true, kItems, kInitial, &caller);
+  EXPECT_EQ(live.shared_bound(), nullptr);
+  live.Run(
+      [&](TestScan::Item& item) {
+        EXPECT_EQ(&item.ctx, &caller);
+        bounds[item.index] = item.bound;
+        return static_cast<std::uint32_t>(kInitial + 1 + item.index);
+      },
+      stats);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    EXPECT_EQ(bounds[i], kInitial + i) << i;
+  }
+  EXPECT_NE(TestScan(SearchLimits{}, 4, false, kItems, 0, nullptr)
+                .shared_bound(),
+            nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,6 +440,52 @@ TEST(OneWorkerPin, SparsePipelineCountersAndWitnesses) {
     const std::string label = std::string(c.algo) +
                               (c.deterministic ? " det " : " ") +
                               std::to_string(c.n);
+    EXPECT_TRUE(result.exact) << label;
+    ExpectPinned(result.stats, result.best, c.pin, label);
+  }
+}
+
+TEST(DeterministicPin, FourWorkersMatchTheRecordedScans) {
+  // `--threads 4 --deterministic`: the scans prune against the frozen
+  // incoming bound, so these recorded counters and witnesses hold at any
+  // timing.
+  struct Case {
+    const char* algo;
+    std::uint32_t n;
+    double density;
+    std::uint64_t seed;
+    ScanPin pin;
+  };
+  const std::vector<VertexId> a_left = {50, 58, 37, 62};
+  const std::vector<VertexId> a_right = {1, 3, 24, 69};
+  const std::vector<VertexId> b_left = {34, 31, 42, 47, 55};
+  const std::vector<VertexId> b_right = {40, 1, 26, 18, 22};
+  const std::vector<VertexId> c_left = {42, 31, 34, 47, 55};
+  const Case cases[] = {
+      {"hbv", 80, 0.25, 3, {160, 79, 12, 69, 0, 1249, a_left, a_right}},
+      {"bd2", 80, 0.25, 3, {160, 79, 0, 81, 0, 1261, a_left, a_right}},
+      {"bd4", 80, 0.25, 3, {160, 56, 70, 34, 0, 1012, a_left, a_right}},
+      {"fmbe", 80, 0.25, 3,
+       {160, 14, 0, 146, 0, 65822, {50, 1, 37, 47}, {0, 24, 55, 73}}},
+      {"adp3", 80, 0.25, 3, {160, 56, 0, 104, 0, 52576, a_left, a_right}},
+      {"hbv", 60, 0.3, 2, {120, 63, 42, 15, 0, 85, b_left, b_right}},
+      {"bd2", 60, 0.3, 2, {120, 64, 0, 56, 0, 126, b_left, b_right}},
+      {"bd4", 60, 0.3, 2,
+       {120, 43, 63, 14, 0, 208, c_left, {40, 1, 22, 18, 26}}},
+      {"fmbe", 60, 0.3, 2,
+       {120, 11, 0, 109, 0, 34967, c_left, {1, 18, 22, 26, 40}}},
+      {"adp3", 60, 0.3, 2,
+       {120, 43, 0, 77, 0, 26621, c_left, {1, 18, 22, 26, 40}}},
+  };
+  for (const Case& c : cases) {
+    const BipartiteGraph g =
+        testing::RandomGraph(c.n, c.n, c.density, c.seed);
+    SolverOptions options;
+    options.num_threads = 4;
+    options.deterministic = true;
+    const MbbResult result = SolverRegistry::Solve(c.algo, g, options);
+    const std::string label =
+        std::string(c.algo) + " T4 det " + std::to_string(c.n);
     EXPECT_TRUE(result.exact) << label;
     ExpectPinned(result.stats, result.best, c.pin, label);
   }
